@@ -67,14 +67,6 @@ class DirectedGraph:
             vertices = keep
             edges = [e for e in edges if e.src in kept and e.dst in kept]
 
-    def is_essential(self) -> bool:
-        outs = {v: 0 for v in self.vertices}
-        ins = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            outs[e.src] += 1
-            ins[e.dst] += 1
-        return all(outs[v] > 0 and ins[v] > 0 for v in self.vertices)
-
     def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Integer matrix indexed by vertex order: entry (i, j) counts i -> j edges."""
         idx = {v: i for i, v in enumerate(self.vertices)}

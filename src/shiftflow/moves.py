@@ -426,44 +426,42 @@ def deciding_length_bound(pipe: MovePipeline) -> int:
 
     Word contractions count one elementary stage per symbol of the
     contracted word; each stage at worst halves lengths and looks at a
-    bounded window, which gives the bound below.
+    bounded window, which gives the bound below.  Periodic transport
+    does not use it; past this length, the images of successive powers
+    of a cycle differ by one inserted repetition of the orbit image.
     """
     n = sum(_elementary_stages(mv) for mv in pipe.moves)
     m = max((_memory_weight(mv) for mv in pipe.moves), default=0)
     return ((m + 1) * n + 1) * 2**n
 
 
+def _wrap(cycle: Word, extra: int) -> Word:
+    """The cycle followed by its first `extra` symbols, read cyclically."""
+    return (cycle * (1 + -(-extra // len(cycle))))[: len(cycle) + extra]
+
+
 def pipeline_apply_periodic(pipe: MovePipeline, orbit: PeriodicOrbit | Word | str) -> PeriodicOrbit:
     """Image of a periodic orbit under the pipeline.
 
-    The cycle is powered up past the deciding length, pushed through as
-    a finite word, and the stabilized growth of the image is read off.
-    A repeat of the growth is checked before the orbit is returned.
+    Each move is a local rule with a window of `_memory_weight` symbols,
+    applied to the cycle word of the orbit.  Expansions and symbol
+    contractions act on the cycle as it is.  A recode slides its window
+    over the cycle extended cyclically by window - 1 symbols.  A word
+    contraction first rotates the cycle to start at an occurrence of the
+    word, if the cyclic word has one, and then acts as a recode with the
+    word's length as window; occurrences never overlap, so none wraps
+    past the rotation point.
     """
     cycle = orbit.cycle if isinstance(orbit, PeriodicOrbit) else PeriodicOrbit(Word(orbit)).cycle
     src = pipe.source
     reps = -(-(src.step + 1) // len(cycle)) + 1
     if not contains_word(src, cycle * reps):
         raise PreconditionError(f"the periodic point of {cycle!r} is not in the source shift")
-    bound = deciding_length_bound(pipe)
-    k = max(2, -(-bound // len(cycle)))
-    base = cycle * k
-    im1 = _fold(pipe, base)
-    cap = 2 ** sum(_elementary_stages(mv) for mv in pipe.moves) + 2
-    for j in range(1, cap + 1):
-        im2 = _fold(pipe, cycle * (k + j))
-        if len(im2) > len(im1):
-            if im2[: len(im1)] != im1:
-                raise ShiftSpaceError("image of the periodic word did not stabilize")
-            tail = im2[len(im1) :]
-            im3 = _fold(pipe, cycle * (k + 2 * j))
-            if im3 != im2 + tail:
-                raise ShiftSpaceError("image growth of the periodic word is not periodic")
-            return PeriodicOrbit(tail)
-    raise ShiftSpaceError("pipeline collapsed the periodic orbit to nothing")
-
-
-def _fold(pipe: MovePipeline, v: Word) -> Word:
     for mv in pipe.moves:
-        v = _move_word(mv, v)
-    return v
+        extra = max(_memory_weight(mv) - 1, 0)
+        if isinstance(mv, WordContraction):
+            wrapped = _wrap(cycle, extra)
+            at = next((i for i in range(len(cycle)) if wrapped[i : i + extra + 1] == mv.word), 0)
+            cycle = cycle[at:] + cycle[:at]
+        cycle = _move_word(mv, _wrap(cycle, extra))
+    return PeriodicOrbit(cycle)

@@ -88,14 +88,6 @@ def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) ->
     yield from extend(EMPTY_WORD)
 
 
-def has_forbidden_factor(word: Word, forbidden: frozenset[Word]) -> bool:
-    by_len = _forbidden_by_length(forbidden)
-    for ln, bad in by_len.items():
-        if any(f in bad for f in word.factors(ln)):
-            return True
-    return False
-
-
 class EdgeShiftData(NamedTuple):
     """Edge-shift presentation of an SFT at step m.
 

@@ -102,9 +102,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
-
     def with_fresh(self) -> tuple["Alphabet", str]:
         """Extend by one new symbol, returning (alphabet, symbol).
 
@@ -173,6 +170,3 @@ class PeriodicOrbit:
     @property
     def period(self) -> int:
         return len(self.cycle)
-
-    def repeat(self, k: int) -> Word:
-        return self.cycle * k

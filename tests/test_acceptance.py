@@ -259,7 +259,7 @@ def _random_pipeline(rng: random.Random) -> MovePipeline:
         x = pipe.result
         options = []
         for s in x.alphabet.symbols:
-            if contains_word(x, s):
+            if contains_word(x, Word([s])):
                 options.append(("expand", s))
         for w in enumerate_language(x, 2):
             try:

@@ -220,7 +220,7 @@ def _random_pipeline(rng: random.Random):
         x = pipe.result
         options = []
         for s in x.alphabet.symbols:
-            if contains_word(x, s):
+            if contains_word(x, Word([s])):
                 options.append(("expand", s))
         for w in enumerate_language(x, 2):
             try:
@@ -271,6 +271,32 @@ def test_periodic_transport_on_random_pipelines():
         # one extra repetition inserted where the periodic block lives
         assert _is_single_cycle_insertion(img_k, img_k1, v.cycle), (u, v.cycle)
         done += 1
+
+
+def test_periodic_transport_through_recodes():
+    """A recode slides its window around the cycle.  Word contractions
+    come after the recodes only: before one, pipeline_apply_word keeps a
+    left-boundary symbol the recode table does not cover."""
+
+    def blocks(pipe: MovePipeline) -> dict[Word, str]:
+        return {u: f"{u[0]}.{u[1]}" for u in enumerate_language(pipe.result, 2)}
+
+    full = MovePipeline.start(full_shift(["0", "1"]))
+    expanded = full.expand("1")
+    recoded = full.recode(blocks(full), 2)
+    pipes = [
+        MovePipeline.start(GOLDEN_MEAN).recode({"00": "p", "01": "q", "10": "r"}, 2).expand("q"),
+        expanded.recode(blocks(expanded), 2),
+        recoded.word_contract(Word(["0.1", "1.0"])),
+    ]
+    for pipe in pipes:
+        for u in _admissible_cycles(pipe.source, 3):
+            k = -(-deciding_length_bound(pipe) // len(u))
+            v = pipeline_apply_periodic(pipe, u)
+            img_k = pipeline_apply_word(pipe, u * k)
+            img_k1 = pipeline_apply_word(pipe, u * (k + 1))
+            assert len(img_k1) == len(img_k) + v.period, (pipe.moves, u, v)
+            assert _is_single_cycle_insertion(img_k, img_k1, v.cycle), (pipe.moves, u, v)
 
 
 def _is_single_cycle_insertion(short: Word, long: Word, cycle: Word) -> bool:
