@@ -52,20 +52,27 @@ def entropy_word_count(obj, n: int) -> EntropyEstimate:
     return EntropyEstimate(log2(count) / n, "word_count", n)
 
 
-def _power_iteration_rho(a: Sequence[Sequence[int]], tol: float, max_iterations: int) -> float:
-    """Spectral radius of an irreducible nonnegative matrix.
+def _power_iteration_rho(rows: Sequence[Sequence[tuple[int, int]]], tol: float, max_iterations: int) -> float:
+    """Spectral radius of an irreducible nonnegative matrix, given as the
+    rows of `DirectedGraph.sparse_adjacency`.
 
     Iterates on A + I, which is primitive, so convergence is assured;
     the +1 is subtracted at the end.  Convergence is judged by the
     Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho <= max_i (Bv)_i/v_i,
     which cannot close before v is the eigenvector; the raw eigenvalue
-    estimate can plateau while the vector is still moving.
+    estimate can plateau while the vector is still moving.  Each row sum
+    adds its nonzero terms in increasing j, so every float equals the
+    one the dense product gives: adding 0.0 changes no float.
     """
-    n = len(a)
-    b = [[a[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    n = len(rows)
+    b = []
+    for i, row in enumerate(rows):
+        merged = dict(row)
+        merged[i] = merged.get(i, 0) + 1
+        b.append(sorted(merged.items()))
     vec = [1.0] * n
     for _ in range(max_iterations):
-        nxt = [sum(b[i][j] * vec[j] for j in range(n)) for i in range(n)]
+        nxt = [sum(k * vec[j] for j, k in row) for row in b]
         ratios = [w / v for w, v in zip(nxt, vec)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol * max(1.0, hi):
@@ -83,7 +90,7 @@ def perron_entropy(obj, tol: float = 1e-12, max_iterations: int = 100_000) -> En
     graph = _as_graph(obj)
     rho = 1.0
     for comp in graph.strongly_connected_components():
-        rho = max(rho, _power_iteration_rho(comp.adjacency_matrix(), tol, max_iterations))
+        rho = max(rho, _power_iteration_rho(comp.sparse_adjacency(), tol, max_iterations))
     return EntropyEstimate(log2(rho) if rho > 1.0 else 0.0, "perron")
 
 

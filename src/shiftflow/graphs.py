@@ -7,6 +7,7 @@ essentialization, which matters for labeled graphs layered on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInput
@@ -40,8 +41,16 @@ class DirectedGraph:
         """Make a graph from (src, dst) pairs; edge ids follow input order."""
         return cls(tuple(vertices), tuple(Edge(s, d, i) for i, (s, d) in enumerate(arcs)))
 
-    def out_edges(self, v: Vertex) -> list[Edge]:
-        return [e for e in self.edges if e.src == v]
+    @cached_property
+    def _out(self) -> dict[Vertex, tuple[Edge, ...]]:
+        """Out-edges of every vertex in edge order, built once per graph."""
+        out: dict[Vertex, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            out[e.src].append(e)
+        return {v: tuple(es) for v, es in out.items()}
+
+    def out_edges(self, v: Vertex) -> tuple[Edge, ...]:
+        return self._out.get(v, ())
 
     def in_edges(self, v: Vertex) -> list[Edge]:
         return [e for e in self.edges if e.dst == v]
@@ -76,6 +85,19 @@ class DirectedGraph:
             m[idx[e.src]][idx[e.dst]] += 1
         return tuple(tuple(row) for row in m)
 
+    def sparse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Rows of `adjacency_matrix` without the zeros: row i lists the
+        (j, entry) pairs with a nonzero entry, in increasing j."""
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        rows = []
+        for v in self.vertices:
+            row: dict[int, int] = {}
+            for e in self._out[v]:
+                j = idx[e.dst]
+                row[j] = row.get(j, 0) + 1
+            rows.append(tuple(sorted(row.items())))
+        return tuple(rows)
+
     def strongly_connected_components(self) -> list["DirectedGraph"]:
         """SCC subgraphs that contain at least one edge, as separate graphs.
 
@@ -87,9 +109,7 @@ class DirectedGraph:
         stack: list[Vertex] = []
         components: list[list[Vertex]] = []
         counter = 0
-        succ = {v: [] for v in self.vertices}
-        for e in self.edges:
-            succ[e.src].append(e.dst)
+        succ = self._out
 
         for root in self.vertices:
             if root in index:
@@ -102,7 +122,8 @@ class DirectedGraph:
             while work:
                 v, it = work[-1]
                 advanced = False
-                for w in it:
+                for e in it:
+                    w = e.dst
                     if w not in index:
                         index[w] = low[w] = counter
                         counter += 1
@@ -129,15 +150,18 @@ class DirectedGraph:
                             break
                     components.append(comp)
 
+        comp_of = {v: c for c, comp in enumerate(components) for v in comp}
+        comp_edges: list[list[Edge]] = [[] for _ in components]
+        for e in self.edges:
+            if comp_of[e.src] == comp_of[e.dst]:
+                comp_edges[comp_of[e.src]].append(e)
         out: list[DirectedGraph] = []
         order = {v: i for i, v in enumerate(self.vertices)}
-        for comp in components:
-            cset = set(comp)
-            comp_edges = tuple(e for e in self.edges if e.src in cset and e.dst in cset)
-            if not comp_edges:
+        for comp, edges in zip(components, comp_edges):
+            if not edges:
                 continue
             comp_sorted = tuple(sorted(comp, key=order.__getitem__))
-            out.append(DirectedGraph(comp_sorted, comp_edges))
+            out.append(DirectedGraph(comp_sorted, tuple(edges)))
         out.sort(key=lambda g: order[g.vertices[0]])
         return out
 
@@ -183,8 +207,8 @@ def path_count(graph: DirectedGraph, length: int) -> int:
     n = len(graph.vertices)
     if n == 0:
         return 0
-    a = graph.adjacency_matrix()
+    rows = graph.sparse_adjacency()
     vec = [1] * n
     for _ in range(length):
-        vec = [sum(a[i][j] * vec[j] for j in range(n)) for i in range(n)]
+        vec = [sum(k * vec[j] for j, k in row) for row in rows]
     return sum(vec)

@@ -8,6 +8,8 @@ Move functions return (image shift, move record).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError, ShiftSpaceError
@@ -56,9 +58,10 @@ class Recode:
     window: int
     inverse: tuple[tuple[Word, str], ...]
 
-    @property
-    def forward_map(self) -> dict[Word, str]:
-        return dict(self.table)
+    @cached_property
+    def forward_map(self) -> Mapping[Word, str]:
+        """`table` as a read-only mapping, built once per move."""
+        return MappingProxyType(dict(self.table))
 
     @property
     def inverse_map(self) -> dict[Word, str]:

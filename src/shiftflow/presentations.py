@@ -75,10 +75,6 @@ def _subset_automaton(
     if not lg.graph.vertices:
         raise PreconditionError("empty presentation")
     order = {v: i for i, v in enumerate(lg.graph.vertices)}
-    alphabet = lg.label_alphabet()
-    trans: dict[Vertex, dict[str, set[Vertex]]] = {v: {} for v in lg.graph.vertices}
-    for e in lg.graph.edges:
-        trans[e.src].setdefault(lg.labels[e.eid], set()).add(e.dst)
 
     def name(state: frozenset) -> tuple:
         return tuple(sorted(state, key=order.__getitem__))
@@ -98,10 +94,12 @@ def _subset_automaton(
     while queue:
         s = queue.popleft()
         states.append(s)
-        for a in alphabet:
-            nxt = frozenset().union(*(trans[v].get(a, set()) for v in s)) if s else frozenset()
-            if not nxt:
-                continue
+        follow: dict[str, set[Vertex]] = {}
+        for v in s:
+            for a, t in lg.out_labeled(v):
+                follow.setdefault(a, set()).add(t)
+        for a in sorted(follow):
+            nxt = frozenset(follow[a])
             arcs.append((name(s), name(nxt), a))
             if nxt not in seen:
                 seen.add(nxt)
@@ -122,11 +120,6 @@ def determinize(lg: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g, labels).essential_part()
 
 
-def _full_determinize(lg: LabeledGraph) -> LabeledGraph:
-    g, labels, _ = _subset_automaton(lg)
-    return LabeledGraph(g, labels).essential_part()
-
-
 def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
     """Coarsest partition where vertices agree on label -> class of target.
 
@@ -134,9 +127,7 @@ def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
     their own, since they vanish from the signature.
     """
     classes = {v: 0 for v in lg.graph.vertices}
-    step: dict[Vertex, dict[str, Vertex]] = {v: {} for v in lg.graph.vertices}
-    for e in lg.graph.edges:
-        step[e.src][lg.labels[e.eid]] = e.dst
+    step = {v: dict(lg.out_labeled(v)) for v in lg.graph.vertices}
     while True:
         sigs = {
             v: tuple(sorted((a, classes[t]) for a, t in step[v].items()))
@@ -163,7 +154,7 @@ def _quotient(lg: LabeledGraph, classes: dict[Vertex, int]) -> LabeledGraph:
     arcs: list[tuple[str, str, str]] = []
     for c in order:
         v = reps[c]
-        for a, t in sorted((lg.labels[e.eid], e.dst) for e in lg.graph.out_edges(v)):
+        for a, t in sorted(lg.out_labeled(v)):
             arcs.append((rename[c], rename[classes[t]], a))
     return labeled_graph([rename[c] for c in order], arcs)
 
@@ -182,15 +173,19 @@ def _count_automaton(lg: LabeledGraph) -> tuple[DirectedGraph, Vertex] | None:
 
 
 def _counts_on(aut: tuple[DirectedGraph, Vertex], upto: int) -> list[int]:
+    """Paths of length 1 .. upto from the seed: the sums of e_seed A^n."""
     g, seed = aut
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    a = g.adjacency_matrix()
-    vec = [0] * n
-    vec[idx[seed]] = 1
+    rows = g.sparse_adjacency()
+    vec = [0] * len(rows)
+    vec[g.vertices.index(seed)] = 1
     counts = []
     for _ in range(upto):
-        vec = [sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)]
+        nxt = [0] * len(rows)
+        for c, row in zip(vec, rows):
+            if c:
+                for j, k in row:
+                    nxt[j] += c * k
+        vec = nxt
         counts.append(sum(vec))
     return counts
 
@@ -211,7 +206,8 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     presenting a reducible shift are rejected; the final language check
     certifies the result presents the same shift, not a proper subshift.
     """
-    det = _full_determinize(lg)
+    g, labels, _ = _subset_automaton(lg)
+    det = LabeledGraph(g, labels).essential_part()
     if not det.graph.vertices:
         raise PreconditionError("presentation has no bi-infinite points")
     merged = _quotient(det, _moore_classes(det))
@@ -231,12 +227,7 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
             "minimize each strongly connected component separately"
         )
     sink = comps[sinks.pop()]
-    keep = set(sink.vertices)
-    sub_edges = [e for e in merged.graph.edges if e.src in keep and e.dst in keep]
-    result = _quotient(
-        LabeledGraph(DirectedGraph(tuple(sink.vertices), tuple(sub_edges)), merged.labels),
-        {v: i for i, v in enumerate(sink.vertices)},
-    )
+    result = _quotient(LabeledGraph(sink, merged.labels), {v: i for i, v in enumerate(sink.vertices)})
     aut_in = _count_automaton(lg)
     aut_out = _count_automaton(result)
     if aut_in is None or aut_out is None:
@@ -252,15 +243,12 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
 
 def follower_table(lg: LabeledGraph, depth: int) -> dict[Vertex, frozenset[Word]]:
     """Words of length <= depth readable from each vertex."""
-    step: dict[Vertex, list[tuple[str, Vertex]]] = {v: [] for v in lg.graph.vertices}
-    for e in lg.graph.edges:
-        step[e.src].append((lg.labels[e.eid], e.dst))
     table: dict[Vertex, set[Word]] = {v: {EMPTY_WORD} for v in lg.graph.vertices}
     layer: dict[Vertex, set[Word]] = {v: {EMPTY_WORD} for v in lg.graph.vertices}
     for _ in range(depth):
         nxt: dict[Vertex, set[Word]] = {v: set() for v in lg.graph.vertices}
         for v in lg.graph.vertices:
-            for a, t in step[v]:
+            for a, t in lg.out_labeled(v):
                 for w in layer[t]:
                     nxt[v].add(Word([a]) + w)
         for v in lg.graph.vertices:
@@ -276,11 +264,8 @@ def focus_set(lg: LabeledGraph, word: Word | str) -> frozenset:
     """
     w = Word(word)
     current = set(lg.graph.vertices)
-    trans: dict[Vertex, dict[str, set[Vertex]]] = {v: {} for v in lg.graph.vertices}
-    for e in lg.graph.edges:
-        trans[e.src].setdefault(lg.labels[e.eid], set()).add(e.dst)
     for a in w:
-        current = set().union(*(trans[v].get(a, set()) for v in current)) if current else set()
+        current = {t for v in current for b, t in lg.out_labeled(v) if b == a}
     if not current:
         raise PreconditionError(f"{w!r} is not readable in the presentation")
     return frozenset(current)
@@ -293,9 +278,7 @@ def _separating_word(lg: LabeledGraph, focus: frozenset) -> Word | None:
     answer is reproducible.
     """
     order = {v: i for i, v in enumerate(lg.graph.vertices)}
-    step: dict[Vertex, dict[str, Vertex]] = {v: {} for v in lg.graph.vertices}
-    for e in lg.graph.edges:
-        step[e.src][lg.labels[e.eid]] = e.dst
+    step = {v: dict(lg.out_labeled(v)) for v in lg.graph.vertices}
     alphabet = lg.label_alphabet()
     members = sorted(focus, key=order.__getitem__)
     for i in range(len(members)):

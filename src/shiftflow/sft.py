@@ -205,7 +205,14 @@ def language_count(x: ForbiddenSetSFT, n: int) -> int:
 
 
 def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
-    """Membership of a finite word in the language of the shift."""
+    """Membership of a finite word in the language of the shift.
+
+    A plain string is read one character per symbol, so it is refused
+    when the alphabet has a longer symbol: "◇2" could be one symbol or
+    two.  Pass a `Word` to say which.
+    """
+    if isinstance(word, str) and any(len(s) > 1 for s in x.alphabet):
+        raise InvalidInput(f"{word!r} is ambiguous over an alphabet with multi-character symbols; pass a Word")
     w = Word(word)
     if len(w) == 0:
         return True

@@ -169,3 +169,42 @@ def spectral_radius_by_iteration(a: list[list[int]], steps: int = 2000) -> float
         prev = s
         v = [x / s for x in w]
     return float(prev)
+
+
+def power_iteration_rho_dense(a: list[list[int]], tol: float, max_iterations: int) -> float:
+    """Spectral radius of an irreducible nonnegative matrix by power
+    iteration on the dense A + I, stopped on the Collatz-Wielandt bracket;
+    the dense form of the library's sparse loop, float for float."""
+    n = len(a)
+    b = [[a[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    vec = [1.0] * n
+    for _ in range(max_iterations):
+        nxt = [sum(b[i][j] * vec[j] for j in range(n)) for i in range(n)]
+        ratios = [w / v for w, v in zip(nxt, vec)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol * max(1.0, hi):
+            return (lo + hi) / 2.0 - 1.0
+        top = max(nxt)
+        vec = [v / top for v in nxt]
+    raise ArithmeticError(f"power iteration did not settle within {max_iterations} iterations")
+
+
+def path_count_dense(a: list[list[int]], length: int) -> int:
+    """ones^T A^length ones by dense matrix-vector products."""
+    n = len(a)
+    vec = [1] * n
+    for _ in range(length):
+        vec = [sum(a[i][j] * vec[j] for j in range(n)) for i in range(n)]
+    return sum(vec)
+
+
+def counts_from_dense(a: list[list[int]], seed: int, upto: int) -> list[int]:
+    """Sums of e_seed A^n for n = 1 .. upto, by dense vector-matrix products."""
+    n = len(a)
+    vec = [0] * n
+    vec[seed] = 1
+    counts = []
+    for _ in range(upto):
+        vec = [sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)]
+        counts.append(sum(vec))
+    return counts

@@ -6,12 +6,15 @@ import random
 import pytest
 
 from shiftflow import (
+    DirectedGraph,
     InvalidInput,
     NonConvergenceError,
     ShiftSpaceError,
     entropy_word_count,
+    from_adjacency,
     full_shift,
     labeled_graph,
+    path_count,
     perron_entropy,
     scale_entropy_construction,
     sft,
@@ -21,7 +24,10 @@ from shiftflow import (
     to_m_step,
 )
 
-from .oracles import spectral_radius_by_iteration
+from shiftflow.entropy import _power_iteration_rho
+from shiftflow.presentations import _count_automaton, _sofic_word_counts
+
+from .oracles import counts_from_dense, path_count_dense, power_iteration_rho_dense, spectral_radius_by_iteration
 
 LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 GOLDEN_MEAN = sft(["0", "1"], ["11"])
@@ -179,3 +185,38 @@ def test_perron_is_exact_on_subdivided_graphs():
     g = scale_entropy_construction([[1, 1], [1, 0]], 2)
     expect = math.log2((1 + math.sqrt(5)) / 2) / 2
     assert abs(perron_entropy(g).value - expect) < 1e-9
+
+
+def _dense(g: DirectedGraph) -> list[list[int]]:
+    return [list(row) for row in g.adjacency_matrix()]
+
+
+def test_sparse_graph_core_matches_dense_oracles():
+    """Perron roots equal the dense loop's float for float; path and
+    sofic word counts equal the dense products exactly."""
+    rng = random.Random(41)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        m = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m[i][(i + 1) % n] = max(m[i][(i + 1) % n], rng.randint(1, 2))
+        graphs.append(from_adjacency(m))
+    assert any(k > 1 for g in graphs for row in g.adjacency_matrix() for k in row)
+    for base in ([[2]], [[3]], [[1, 1], [1, 0]]):
+        graphs += [scale_entropy_construction(base, n) for n in range(1, 13)]
+    for g in graphs:
+        assert g.is_strongly_connected()
+        a = _dense(g)
+        assert _power_iteration_rho(g.sparse_adjacency(), 1e-12, 100_000) == power_iteration_rho_dense(a, 1e-12, 100_000)
+        for length in (0, 1, 2, 7):
+            assert path_count(g, length) == path_count_dense(a, length)
+
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        arcs = [(i, (i + 1) % n, rng.choice("abc")) for i in range(n)]
+        arcs += [(rng.randrange(n), rng.randrange(n), rng.choice("abc")) for _ in range(rng.randint(0, 2 * n))]
+        lg = labeled_graph(range(n), arcs)
+        aut, seed = _count_automaton(lg)
+        expected = counts_from_dense(_dense(aut), aut.vertices.index(seed), 12)
+        assert _sofic_word_counts(lg, 12) == expected

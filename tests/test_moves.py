@@ -51,6 +51,15 @@ def test_symbol_expand_full_shift_forces_follower():
     assert not contains_word(y, "11")
 
 
+def test_contains_word_refuses_to_split_multi_character_symbols():
+    y, _ = symbol_expand(full_shift(["0", "1"]), "1")
+    z, mv = symbol_expand(y, "1")
+    assert mv.fresh == "◇2"
+    with pytest.raises(InvalidInput):
+        contains_word(z, "◇2")
+    assert contains_word(z, Word(["◇2"]))
+
+
 def test_symbol_expand_rewrites_words():
     y, mv = symbol_expand(GOLDEN_MEAN, "1")
     pipe = MovePipeline.start(GOLDEN_MEAN).expand("1")
