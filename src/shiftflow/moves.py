@@ -16,12 +16,13 @@ from .errors import InvalidInput, PartialBlockMapError, PreconditionError, Shift
 from .sft import (
     ForbiddenSetSFT,
     _natural_edge_shift,
+    _unambiguous_word,
     apply_block_map,
     contains_word,
     enumerate_language,
     minimize_from_language,
 )
-from .words import EMPTY_WORD, Alphabet, PeriodicOrbit, Word
+from .words import EMPTY_WORD, Alphabet, PeriodicOrbit, Word, _word
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,8 @@ def _deletion_image(
     jmax = k_img + 1
     need = jmax + (1 if drop_first else 0)
     data = _natural_edge_shift(x)
+    out_edges = data.graph.out_edges
+    label = [w[-1] for w in data.edge_words]
     found: set[Word] = set()
     cap = 2 * need + m + 8
     for v in data.graph.vertices:
@@ -131,17 +134,29 @@ def _deletion_image(
         while stack:
             vtx, pr, image, steps = stack.pop()
             if len(image) >= need:
-                found.add(Word(image[1:] if drop_first else image))
+                found.add(_word(image[1:] if drop_first else image))
                 continue
             if steps > cap:
                 raise ShiftSpaceError("deletion never thins out; contraction preconditions do not hold")
-            for e, s in data.out_map[vtx]:
+            for e in out_edges(vtx):
+                s = label[e.eid]
                 nxt = image if should_delete(pr, s) else image + (s,)
                 stack.append((e.dst, s, nxt, steps + 1))
-    bsets: dict[int, set[Word]] = {jmax: found, 0: {EMPTY_WORD}}
-    for j in range(1, jmax):
-        bsets[j] = {f for w in found for f in w.factors(j)}
-    return minimize_from_language(alphabet, bsets, k_img)
+    return minimize_from_language(alphabet, _slices_below(found, jmax), k_img)
+
+
+def _slices_below(top: set[Word], jmax: int) -> dict[int, set[Word]]:
+    """Language slices B_0 .. B_jmax from the length-jmax slice `top`.
+
+    A length-j factor of a length-jmax word is the prefix or the suffix
+    of one of its length-(j+1) factors, so each slice is built from the
+    one above it.
+    """
+    bsets: dict[int, set[Word]] = {jmax: top, 0: {EMPTY_WORD}}
+    for j in range(jmax - 1, 0, -1):
+        above = bsets[j + 1]
+        bsets[j] = {w[:-1] for w in above} | {w[1:] for w in above}
+    return bsets
 
 
 def prune_dead_symbols(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
@@ -239,10 +254,7 @@ def _recode_image(
     jmax = k_img + 1
     source_words = enumerate_language(x, jmax + window - 1)
     top = {apply_block_map(table, u, window) for u in source_words}
-    bsets: dict[int, set[Word]] = {jmax: top, 0: {EMPTY_WORD}}
-    for j in range(1, jmax):
-        bsets[j] = {f for w in top for f in w.factors(j)}
-    return minimize_from_language(out_alphabet, bsets, k_img)
+    return minimize_from_language(out_alphabet, _slices_below(top, jmax), k_img)
 
 
 def word_contract(x: ForbiddenSetSFT, word: Word | str) -> tuple[ForbiddenSetSFT, WordContraction]:
@@ -402,9 +414,10 @@ def pipeline_apply_word(pipe: MovePipeline, word: Word | str) -> Word:
     """Image of a finite language word under the whole pipeline.
 
     Boundary windows are consumed along the way, so the image can be
-    shorter than the input, even empty.
+    shorter than the input, even empty.  A plain string is refused when
+    the source alphabet has a multi-character symbol.
     """
-    v = Word(word)
+    v = _unambiguous_word(word, pipe.source.alphabet)
     if not contains_word(pipe.source, v):
         raise PreconditionError(f"{v!r} is not in the source language")
     for mv in pipe.moves:
@@ -453,10 +466,14 @@ def pipeline_apply_periodic(pipe: MovePipeline, orbit: PeriodicOrbit | Word | st
     contraction first rotates the cycle to start at an occurrence of the
     word, if the cyclic word has one, and then acts as a recode with the
     word's length as window; occurrences never overlap, so none wraps
-    past the rotation point.
+    past the rotation point.  A plain string is refused when the source
+    alphabet has a multi-character symbol.
     """
-    cycle = orbit.cycle if isinstance(orbit, PeriodicOrbit) else PeriodicOrbit(Word(orbit)).cycle
     src = pipe.source
+    if isinstance(orbit, PeriodicOrbit):
+        cycle = orbit.cycle
+    else:
+        cycle = PeriodicOrbit(_unambiguous_word(orbit, src.alphabet)).cycle
     reps = -(-(src.step + 1) // len(cycle)) + 1
     if not contains_word(src, cycle * reps):
         raise PreconditionError(f"the periodic point of {cycle!r} is not in the source shift")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInput, PreconditionError
 from .graphs import DirectedGraph, Edge, Vertex
-from .sft import ForbiddenSetSFT, _natural_edge_shift
+from .sft import ForbiddenSetSFT, _natural_edge_shift, _unambiguous_word
 from .words import EMPTY_WORD, Word
 
 
@@ -260,9 +260,10 @@ def follower_table(lg: LabeledGraph, depth: int) -> dict[Vertex, frozenset[Word]
 def focus_set(lg: LabeledGraph, word: Word | str) -> frozenset:
     """Terminal vertices of paths labeled by the word, from any start.
 
-    Raises when no path presents the word.
+    Raises when no path presents the word.  A plain string is refused
+    when a label has more than one character.
     """
-    w = Word(word)
+    w = _unambiguous_word(word, lg.label_alphabet())
     current = set(lg.graph.vertices)
     for a in w:
         current = {t for v in current for b, t in lg.out_labeled(v) if b == a}
@@ -311,7 +312,7 @@ def extend_to_synchronizing(lg: LabeledGraph, word: Word | str) -> Word:
     """
     if not is_right_resolving(lg):
         raise PreconditionError("presentation must be right-resolving")
-    w = Word(word)
+    w = _unambiguous_word(word, lg.label_alphabet())
     focus = focus_set(lg, w)
     while len(focus) > 1:
         z = _separating_word(lg, focus)

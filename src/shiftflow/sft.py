@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .graphs import DirectedGraph, Edge, path_count
-from .words import EMPTY_WORD, Alphabet, Word
+from .words import EMPTY_WORD, Alphabet, Word, _word
 
 # Candidate-graph enumeration is skipped when the raw word cube would
 # exceed this; callers then keep the unminimized description.
@@ -79,7 +79,7 @@ def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) ->
             yield prefix
             return
         for s in alphabet:
-            w = prefix + Word([s])
+            w = prefix + _word((s,))
             k = len(w)
             if any(ln <= k and w[k - ln :] in by_len[ln] for ln in lengths):
                 continue
@@ -100,7 +100,6 @@ class EdgeShiftData(NamedTuple):
     step: int
     edge_words: tuple[Word, ...]
     live_words: frozenset[Word]
-    out_map: dict[Word, tuple[tuple[Edge, str], ...]]
 
 
 @lru_cache(maxsize=512)
@@ -111,11 +110,7 @@ def _edge_shift(x: ForbiddenSetSFT, m: int) -> EdgeShiftData:
     graph = DirectedGraph(tuple(vertices), edges).essential_part()
     edge_words = tuple(words)
     live = frozenset(edge_words[e.eid] for e in graph.edges)
-    out: dict[Word, list[tuple[Edge, str]]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        out[e.src].append((e, edge_words[e.eid][-1]))
-    out_map = {v: tuple(sorted(pairs, key=lambda p: (p[1], p[0].eid))) for v, pairs in out.items()}
-    return EdgeShiftData(graph, m, edge_words, live, out_map)
+    return EdgeShiftData(graph, m, edge_words, live)
 
 
 def _natural_edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
@@ -181,8 +176,8 @@ def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
         if remaining == 0:
             result.append(prefix)
             return
-        for e, s in data.out_map[v]:
-            walk(prefix + Word([s]), e.dst, remaining - 1)
+        for e in data.graph.out_edges(v):
+            walk(prefix + _word((data.edge_words[e.eid][-1],)), e.dst, remaining - 1)
 
     for v in data.graph.vertices:
         walk(Word(v), v, k)
@@ -204,16 +199,25 @@ def language_count(x: ForbiddenSetSFT, n: int) -> int:
     return path_count(data.graph, n - m)
 
 
+def _unambiguous_word(word: Word | str, symbols: Iterable[str]) -> Word:
+    """`word` as a Word over `symbols`.
+
+    A plain string is read one character per symbol, so it is refused
+    when `symbols` has a longer symbol: "◇2" could be one symbol or two.
+    Pass a `Word` to say which.
+    """
+    if isinstance(word, str) and any(len(s) > 1 for s in symbols):
+        raise InvalidInput(f"{word!r} is ambiguous over an alphabet with multi-character symbols; pass a Word")
+    return Word(word)
+
+
 def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
     """Membership of a finite word in the language of the shift.
 
-    A plain string is read one character per symbol, so it is refused
-    when the alphabet has a longer symbol: "◇2" could be one symbol or
-    two.  Pass a `Word` to say which.
+    A plain string is refused when the alphabet has a multi-character
+    symbol (see `_unambiguous_word`).
     """
-    if isinstance(word, str) and any(len(s) > 1 for s in x.alphabet):
-        raise InvalidInput(f"{word!r} is ambiguous over an alphabet with multi-character symbols; pass a Word")
-    w = Word(word)
+    w = _unambiguous_word(word, x.alphabet)
     if len(w) == 0:
         return True
     if any(s not in x.alphabet for s in w):
@@ -284,7 +288,7 @@ def minimize_from_language(alphabet: Alphabet, bsets: Mapping[int, set[Word]], k
         prev, cur = bsets[n - 1], bsets[n]
         for u in sorted(prev):
             for s in alphabet:
-                w = u + Word([s])
+                w = u + _word((s,))
                 if w in cur:
                     continue
                 if w[1:] in prev:

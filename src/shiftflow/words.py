@@ -15,7 +15,10 @@ class Word(tuple):
     """An immutable finite word.
 
     Construction accepts either an iterable of symbols or a plain
-    string, which is split into single-character symbols:
+    string, which is split into single-character symbols.  Symbols are
+    checked once, when a word is built from outside input; slices,
+    concatenations, powers and factors of Words reuse the checked
+    symbols without checking them again:
 
     >>> Word("011")
     Word('011')
@@ -38,19 +41,21 @@ class Word(tuple):
         return super().__new__(cls, symbols)
 
     def __add__(self, other) -> "Word":
-        return Word(tuple.__add__(self, Word(other)))
+        if not isinstance(other, Word):
+            other = Word(other)
+        return _word(tuple.__add__(self, other))
 
     def __radd__(self, other) -> "Word":
         return Word(other) + self
 
     def __mul__(self, n: int) -> "Word":
-        return Word(tuple.__mul__(self, n))
+        return _word(tuple.__mul__(self, n))
 
     __rmul__ = __mul__
 
     def __getitem__(self, index):
         result = tuple.__getitem__(self, index)
-        return Word(result) if isinstance(index, slice) else result
+        return _word(result) if isinstance(index, slice) else result
 
     def subword(self, i: int, j: int) -> "Word":
         """Symbols i through j inclusive, 1-indexed."""
@@ -60,8 +65,9 @@ class Word(tuple):
 
     def factors(self, n: int) -> Iterator["Word"]:
         """All length-n factors, left to right, with repeats."""
+        t = tuple(self)
         for k in range(len(self) - n + 1):
-            yield self[k : k + n]
+            yield _word(t[k : k + n])
 
     def text(self) -> str:
         """Concatenated symbols.  Only faithful when symbols have length 1."""
@@ -71,6 +77,11 @@ class Word(tuple):
         if all(len(s) == 1 for s in self):
             return f"Word({self.text()!r})"
         return f"Word({list(self)!r})"
+
+
+def _word(symbols: tuple[str, ...]) -> Word:
+    """A Word over symbols already checked, taken from a Word or an Alphabet."""
+    return tuple.__new__(Word, symbols)
 
 
 EMPTY_WORD = Word()
@@ -130,11 +141,11 @@ class Alphabet:
             return
         for prefix in self.words(n - 1):
             for s in self.symbols:
-                yield prefix + Word([s])
+                yield prefix + _word((s,))
 
 
 def _least_rotation(w: Word) -> Word:
-    return min(Word(w[k:] + w[:k]) for k in range(len(w)))
+    return min(w[k:] + w[:k] for k in range(len(w)))
 
 
 def _primitive_root(w: Word) -> Word:

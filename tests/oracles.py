@@ -208,3 +208,10 @@ def counts_from_dense(a: list[list[int]], seed: int, upto: int) -> list[int]:
         vec = [sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)]
         counts.append(sum(vec))
     return counts
+
+
+def slices_by_all_factors(top, jmax: int) -> dict:
+    """Slices 1 .. jmax - 1 of a language from its length-jmax words `top`:
+    every length-j factor of every top word.  Works on any sliceable
+    words (str, tuple) and returns factors of the same type."""
+    return {j: {w[k : k + j] for w in top for k in range(jmax - j + 1)} for j in range(1, jmax)}

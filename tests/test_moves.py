@@ -11,20 +11,30 @@ from shiftflow import (
     PreconditionError,
     Word,
     admits_nontrivial_overlaps,
+    bowen_franks,
     contains_word,
     deciding_length_bound,
     enumerate_language,
     full_shift,
+    is_irreducible,
     is_nonoverlapping,
     perron_entropy,
     pipeline_apply_periodic,
     pipeline_apply_word,
     recode,
     sft,
+    sft_presentation,
+    sft_to_edge_shift,
+    sofic_entropy,
     symbol_contract,
     symbol_expand,
+    to_m_step,
     word_contract,
 )
+from shiftflow import moves
+from shiftflow.jsonio import dumps, sft_json
+
+from .oracles import slices_by_all_factors
 
 GOLDEN_MEAN = sft(["0", "1"], ["11"])
 # gap lengths 1 or 2 between consecutive 1s
@@ -58,6 +68,30 @@ def test_contains_word_refuses_to_split_multi_character_symbols():
     with pytest.raises(InvalidInput):
         contains_word(z, "◇2")
     assert contains_word(z, Word(["◇2"]))
+
+
+def _twice_expanded_pipeline() -> MovePipeline:
+    """A pipeline whose source, the full 2-shift with 1 expanded twice,
+    has the symbol ◇2."""
+    y, _ = symbol_expand(full_shift(["0", "1"]), "1")
+    z, mv = symbol_expand(y, "1")
+    assert mv.fresh == "◇2"
+    return MovePipeline.start(z).expand("0")
+
+
+def test_pipeline_apply_word_refuses_to_split_multi_character_symbols():
+    pipe = _twice_expanded_pipeline()
+    with pytest.raises(InvalidInput):
+        pipeline_apply_word(pipe, "1◇2◇")
+    assert pipeline_apply_word(pipe, Word(["1", "◇2", "◇"])) == Word(["1", "◇2", "◇"])
+
+
+def test_pipeline_apply_periodic_refuses_to_split_multi_character_symbols():
+    pipe = _twice_expanded_pipeline()
+    with pytest.raises(InvalidInput):
+        pipeline_apply_periodic(pipe, "1◇2◇")
+    cycle = Word(["1", "◇2", "◇"])
+    assert pipeline_apply_periodic(pipe, cycle) == PeriodicOrbit(cycle)
 
 
 def test_symbol_expand_rewrites_words():
@@ -217,8 +251,12 @@ def test_deciding_length_bound_formula():
     assert deciding_length_bound(pipe2) == ((0 + 1) * 1 + 1) * 2**1
 
 
-def _random_pipeline(rng: random.Random):
-    """A short pipeline over a small SFT, built from applicable moves."""
+def _random_pipeline(rng: random.Random, recodes: bool = False):
+    """A short pipeline over a small SFT, built from applicable moves.
+
+    With `recodes`, a 2-block recode naming each block "a.b" is one more
+    option at every step.
+    """
     base = rng.choice([
         full_shift(["0", "1"]),
         GOLDEN_MEAN,
@@ -237,11 +275,15 @@ def _random_pipeline(rng: random.Random):
                     options.append(("contract", w))
             except PreconditionError:
                 pass
+        if recodes:
+            options.append(("recode", {u: f"{u[0]}.{u[1]}" for u in enumerate_language(x, 2)}))
         if not options:
             break
         kind, arg = rng.choice(options)
         if kind == "expand":
             pipe = pipe.expand(arg)
+        elif kind == "recode":
+            pipe = pipe.recode(arg, 2)
         else:
             pipe = pipe.word_contract(arg)
     return pipe
@@ -359,3 +401,75 @@ def test_moves_preserve_zero_entropy():
     z2, _ = word_contract(pos, "10")
     assert perron_entropy(z2).value > 0
 
+
+
+def test_language_slices_match_all_factors_oracle(monkeypatch):
+    """The slices each move image is minimized from equal the all-factors
+    slices of its top slice, and both give the same forbidden set.
+
+    Top slices of image languages are right-extendable, so their prefixes
+    alone already give every slice; halves of them are not, which makes
+    a builder that skips suffixes fail here.
+    """
+    calls = []
+    minimize = moves.minimize_from_language
+
+    def spy(alphabet, bsets, k):
+        calls.append((alphabet, bsets, k))
+        return minimize(alphabet, bsets, k)
+
+    monkeypatch.setattr(moves, "minimize_from_language", spy)
+    rng = random.Random(211)
+    pipes = [_random_pipeline(rng, recodes=True) for _ in range(40)]
+    assert any(isinstance(mv, moves.Recode) for pipe in pipes for mv in pipe.moves)
+    assert any(isinstance(mv, moves.WordContraction) for pipe in pipes for mv in pipe.moves)
+    assert len(calls) > 40
+    for alphabet, bsets, k in calls:
+        jmax = k + 1
+        top = bsets[jmax]
+        oracle = {0: {Word()}, jmax: top, **slices_by_all_factors(top, jmax)}
+        assert bsets == oracle
+        assert dumps(sft_json(minimize(alphabet, bsets, k))) == dumps(sft_json(minimize(alphabet, oracle, k)))
+        half = set(rng.sample(sorted(top), (len(top) + 1) // 2))
+        assert moves._slices_below(half, jmax) == {0: {Word()}, jmax: half, **slices_by_all_factors(half, jmax)}
+
+
+def _edge_shift_bowen_franks(x):
+    return bowen_franks(sft_presentation(x).graph.adjacency_matrix())
+
+
+def test_moves_preserve_signed_bowen_franks_group():
+    """Flow moves preserve the signed Bowen-Franks group of an irreducible
+    shift, computed on its edge shift.  The edge shift is read from the
+    natural-step presentation: `to_m_step` writes out every non-language
+    word of length step + 1, which on these stages runs to millions, so
+    the two are checked to agree only where that is cheap."""
+    rng = random.Random(223)
+    moved = recoded = multi = fresh = 0
+    for _ in range(150):
+        pipe = _random_pipeline(rng, recodes=True)
+        for x, y, mv in zip(pipe.stages, pipe.stages[1:], pipe.moves):
+            for z in (x, y):
+                if len(z.alphabet) ** (z.step + 1) <= 4096:
+                    graph, _ = sft_to_edge_shift(to_m_step(z))
+                    assert graph.adjacency_matrix() == sft_presentation(z).graph.adjacency_matrix()
+            if not is_irreducible(x):
+                continue
+            assert is_irreducible(y), pipe.moves
+            assert _edge_shift_bowen_franks(x) == _edge_shift_bowen_franks(y), pipe.moves
+            moved += 1
+            recoded += isinstance(mv, moves.Recode)
+            multi += any(len(s) > 1 for s in x.alphabet)
+            fresh += isinstance(mv, moves.SymbolExpansion) and len(mv.symbol) > 1
+    assert moved > 300 and recoded > 40 and multi > 100 and fresh > 20
+
+
+def test_sofic_entropy_of_sft_presentation_equals_perron_entropy():
+    rng = random.Random(227)
+    stages = 0
+    for _ in range(150):
+        pipe = _random_pipeline(rng, recodes=True)
+        for x in pipe.stages:
+            assert abs(sofic_entropy(sft_presentation(x)).value - perron_entropy(x).value) < 1e-9, pipe.moves
+            stages += 1
+    assert stages > 400

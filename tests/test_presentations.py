@@ -6,6 +6,7 @@ import random
 import pytest
 
 from shiftflow import (
+    InvalidInput,
     LabeledGraph,
     PreconditionError,
     Word,
@@ -20,6 +21,7 @@ from shiftflow import (
     sft,
     sft_presentation,
     sofic_entropy,
+    symbol_expand,
 )
 
 # Standard presentation of the even shift: 0-runs between 1s have even length.
@@ -127,6 +129,30 @@ def test_focus_set_unreadable_word_raises():
     with pytest.raises(PreconditionError) as exc:
         focus_set(EVEN, "0101")
     assert "not readable" in str(exc.value)
+
+
+def _twice_expanded_presentation() -> LabeledGraph:
+    """Minimal presentation of the full 2-shift with 1 expanded twice:
+    labels 0, 1, ◇ and ◇2."""
+    y, _ = symbol_expand(full_shift(["0", "1"]), "1")
+    z, mv = symbol_expand(y, "1")
+    assert mv.fresh == "◇2"
+    return minimal_right_resolving(sft_presentation(z))
+
+
+def test_focus_set_refuses_to_split_multi_character_labels():
+    lg = _twice_expanded_presentation()
+    with pytest.raises(InvalidInput):
+        focus_set(lg, "◇2")
+    assert len(focus_set(lg, Word(["◇2"]))) >= 1
+
+
+def test_extend_to_synchronizing_refuses_to_split_multi_character_labels():
+    lg = _twice_expanded_presentation()
+    with pytest.raises(InvalidInput):
+        extend_to_synchronizing(lg, "◇2")
+    w = extend_to_synchronizing(lg, Word(["◇2"]))
+    assert w[0] == "◇2" and len(focus_set(lg, w)) == 1
 
 
 def test_extend_to_synchronizing_yields_intrinsic_synchronizer():

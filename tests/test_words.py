@@ -36,6 +36,31 @@ def test_word_concat_and_slice_stay_words():
         w.subword(0, 2)
 
 
+def test_slices_concatenations_powers_and_factors_are_plain_words():
+    """The unchecked internal paths build the same Words a checked
+    construction from a list would."""
+    w = Word(["0", "◇2", "1", "◇"])
+    results = [w[1:3], w[:0], w[::-1], w + Word(["1"]), Word("ab") + w, w * 2, 3 * w, w * 0]
+    results += list(w.factors(2)) + list(w.factors(4))
+    for r in results:
+        assert type(r) is Word
+        assert r == Word(list(r))
+        assert repr(r) == repr(Word(list(r)))
+    assert repr(w[1:2]) == "Word(['◇2'])"
+    assert repr(Word("01")[:1]) == "Word('0')"
+
+
+def test_concatenation_with_outside_input_is_checked():
+    with pytest.raises(TypeError):
+        Word(["0"]) + [""]
+    with pytest.raises(TypeError):
+        Word(["0"]) + [1]
+    with pytest.raises(TypeError):
+        [1] + Word(["0"])
+    split = Word("0") + "1◇"
+    assert type(split) is Word and list(split) == ["0", "1", "◇"]
+
+
 def test_factors():
     w = Word("aba")
     fs = set(w.factors(2))
