@@ -52,9 +52,6 @@ class DirectedGraph:
     def out_edges(self, v: Vertex) -> tuple[Edge, ...]:
         return self._out.get(v, ())
 
-    def in_edges(self, v: Vertex) -> list[Edge]:
-        return [e for e in self.edges if e.dst == v]
-
     def essential_part(self) -> "DirectedGraph":
         """Repeatedly remove vertices with no outgoing or no incoming edge.
 

@@ -12,10 +12,10 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import InvalidInput, PartialBlockMapError, PreconditionError, ShiftSpaceError
+from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .sft import (
     ForbiddenSetSFT,
-    _natural_edge_shift,
+    _edge_shift,
     _unambiguous_word,
     apply_block_map,
     contains_word,
@@ -101,48 +101,43 @@ def symbol_expand(x: ForbiddenSetSFT, symbol: str) -> tuple[ForbiddenSetSFT, Sym
     return ForbiddenSetSFT(new_alpha, frozenset(forbidden)), SymbolExpansion(symbol, fresh)
 
 
-def _deletion_image(
+def _image(
     x: ForbiddenSetSFT,
-    should_delete: Callable[[str | None, str], bool],
-    drop_first: bool,
+    rule: Callable[[Word], str | None],
+    window: int,
+    k: int,
     alphabet: Alphabet,
 ) -> ForbiddenSetSFT:
-    """SFT presenting the image of x under deleting selected positions.
+    """Image of x under a sliding block code whose output is one symbol
+    or nothing, as a k-step SFT over the symbols of `alphabet` that occur.
 
-    `should_delete(prev, s)` sees the preceding source symbol (None at a
-    walk start).  With `drop_first` the leading image symbol of every
-    walk is discarded: its own fate depends on context the walk cannot
-    see.  Deleted positions are never adjacent, so walks make progress.
+    `rule` sees the last `window` symbols of a live edge of the edge
+    shift (Lind & Marcus, sections 1.5 and 2.3) and names the image
+    symbol written there, or None for a deleted position.  A walk from
+    every vertex, deduplicated on (vertex, image so far), collects the
+    image words of length k + 1; k must be at least the step of the image.
     """
-    m = x.step
-    k_img = 2 * m + 1
-    jmax = k_img + 1
-    need = jmax + (1 if drop_first else 0)
-    data = _natural_edge_shift(x)
+    data = _edge_shift(x, max(x.step, window - 1))
+    out = {e.eid: rule(data.edge_words[e.eid][-window:]) for e in data.graph.edges}
     out_edges = data.graph.out_edges
-    label = [w[-1] for w in data.edge_words]
+    jmax = k + 1
     found: set[Word] = set()
-    cap = 2 * need + m + 8
-    for v in data.graph.vertices:
-        prev: str | None = None
-        img: list[str] = []
-        for s in v:
-            if not should_delete(prev, s):
-                img.append(s)
-            prev = s
-        stack = [(v, prev, tuple(img), 0)]
-        while stack:
-            vtx, pr, image, steps = stack.pop()
-            if len(image) >= need:
-                found.add(_word(image[1:] if drop_first else image))
-                continue
-            if steps > cap:
-                raise ShiftSpaceError("deletion never thins out; contraction preconditions do not hold")
-            for e in out_edges(vtx):
-                s = label[e.eid]
-                nxt = image if should_delete(pr, s) else image + (s,)
-                stack.append((e.dst, s, nxt, steps + 1))
-    return minimize_from_language(alphabet, _slices_below(found, jmax), k_img)
+    stack: list[tuple[Word, tuple[str, ...]]] = [(v, ()) for v in data.graph.vertices]
+    seen = set(stack)
+    while stack:
+        vtx, image = stack.pop()
+        if len(image) == jmax:
+            found.add(_word(image))
+            continue
+        for e in out_edges(vtx):
+            s = out[e.eid]
+            state = (e.dst, image if s is None else image + (s,))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    live = {s for w in found for s in w}
+    alpha = Alphabet(tuple(s for s in alphabet if s in live))
+    return minimize_from_language(alpha, _slices_below(found, jmax), k)
 
 
 def _slices_below(top: set[Word], jmax: int) -> dict[int, set[Word]]:
@@ -170,13 +165,13 @@ def prune_dead_symbols(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     return ForbiddenSetSFT(Alphabet(live), forbidden)
 
 
-def _check_pair_condition(x: ForbiddenSetSFT, anchor: str, removed: str, require_preceded: bool) -> None:
+def _check_pair_condition(x: ForbiddenSetSFT, anchor: str, removed: str) -> None:
     for u in sorted(set(enumerate_language(x, 2))):
         if u[0] == anchor and u[1] != removed:
             raise PreconditionError(
                 f"{anchor!r} is followed by {u[1]!r} (witness {u!r}); it must always precede {removed!r}"
             )
-        if require_preceded and u[1] == removed and u[0] != anchor:
+        if u[1] == removed and u[0] != anchor:
             raise PreconditionError(
                 f"{removed!r} occurs after {u[0]!r} (witness {u!r}); it may only follow {anchor!r}"
             )
@@ -192,22 +187,9 @@ def symbol_contract(x: ForbiddenSetSFT, symbol: str, removed: str) -> tuple[Forb
         raise InvalidInput("both symbols must be in the alphabet")
     if symbol == removed:
         raise PreconditionError("anchor and removed symbol must differ")
-    _check_pair_condition(x, symbol, removed, require_preceded=True)
-    y = _deletion_image(x, lambda p, s: s == removed, drop_first=False, alphabet=x.alphabet.without(removed))
-    return prune_dead_symbols(y), SymbolContraction(symbol, removed)
-
-
-def _standard_contract(x: ForbiddenSetSFT, anchor: str, removed: str) -> ForbiddenSetSFT:
-    """Delete `removed` exactly where it follows `anchor`.
-
-    Unlike symbol_contract, `removed` may occur elsewhere and survives
-    there.  Used stepwise by word contraction.
-    """
-    if anchor == removed:
-        raise PreconditionError("anchor and removed symbol must differ")
-    _check_pair_condition(x, anchor, removed, require_preceded=False)
-    y = _deletion_image(x, lambda p, s: p == anchor and s == removed, drop_first=True, alphabet=x.alphabet)
-    return prune_dead_symbols(y)
+    _check_pair_condition(x, symbol, removed)
+    y = _image(x, lambda u: None if u[0] == removed else u[0], 1, 2 * x.step + 1, x.alphabet.without(removed))
+    return y, SymbolContraction(symbol, removed)
 
 
 def is_nonoverlapping(w: Word) -> bool:
@@ -234,9 +216,10 @@ def admits_nontrivial_overlaps(x: ForbiddenSetSFT, w: Word | str) -> bool:
     """Whether two occurrences of w can overlap in a point of x.
 
     Cheaper than is_nonoverlapping as a contraction gate: a self-overlap
-    that no point realizes does not block the move.
+    that no point realizes does not block the move.  A plain string is
+    refused when the alphabet has a multi-character symbol.
     """
-    word = Word(w)
+    word = _unambiguous_word(w, x.alphabet)
     if len(word) == 0:
         raise InvalidInput("the empty word has no overlap type")
     if not contains_word(x, word):
@@ -244,26 +227,26 @@ def admits_nontrivial_overlaps(x: ForbiddenSetSFT, w: Word | str) -> bool:
     return _overlap_witness(x, word) is not None
 
 
-def _recode_image(
-    x: ForbiddenSetSFT,
-    table: Mapping[Word, str],
-    window: int,
-    out_alphabet: Alphabet,
-    k_img: int,
-) -> ForbiddenSetSFT:
-    jmax = k_img + 1
-    source_words = enumerate_language(x, jmax + window - 1)
-    top = {apply_block_map(table, u, window) for u in source_words}
-    return minimize_from_language(out_alphabet, _slices_below(top, jmax), k_img)
-
-
 def word_contract(x: ForbiddenSetSFT, word: Word | str) -> tuple[ForbiddenSetSFT, WordContraction]:
     """Collapse every occurrence of a word to one fresh symbol.
 
     The word must occur, and no two occurrences may overlap in any
-    point.  One-symbol words reduce to a renaming.
+    point.  One-symbol words reduce to a renaming.  A plain string is
+    refused when the alphabet has a multi-character symbol.
+
+    The image is a sliding block code of window 2n - 1 (n = len(w)) that
+    writes the fresh symbol where an occurrence of w starts, nothing
+    inside one, and the symbol itself elsewhere.  Its step is at most
+    max(m, n - 1), m the step of x.  Let psi substitute w back for the
+    fresh symbol.  A point y is in the image iff
+    - psi(y) has no forbidden factor of x; each such factor has at most
+      m + 1 symbols, so it lies inside psi of at most m + 1 symbols of y;
+    - every occurrence of w in psi(y) is the expansion of one fresh
+      symbol; an occurrence lies inside psi of at most n symbols of y.
+    Both are checked on factors of y of length max(m + 1, n), so the
+    image is an SFT with forbidden words no longer than that.
     """
-    w = Word(word)
+    w = _unambiguous_word(word, x.alphabet)
     n = len(w)
     if n == 0:
         raise InvalidInput("cannot contract the empty word")
@@ -282,12 +265,15 @@ def word_contract(x: ForbiddenSetSFT, word: Word | str) -> tuple[ForbiddenSetSFT
         alpha = Alphabet(tuple(fresh if s == old else s for s in x.alphabet.symbols))
         forbidden = frozenset(Word(fresh if s == old else s for s in f) for f in x.forbidden)
         return ForbiddenSetSFT(alpha, forbidden), move
-    table = {u: (fresh if u == w else u[0]) for u in enumerate_language(x, n)}
-    k_rec = x.step + n - 1
-    y = prune_dead_symbols(_recode_image(x, table, n, new_alpha, k_rec))
-    for i in range(1, n):
-        y = _standard_contract(y, fresh, w[i])
-    return y, move
+
+    def rule(u: Word) -> str | None:
+        if u[n - 1 :] == w:
+            return fresh
+        if any(u[n - 1 - j : 2 * n - 1 - j] == w for j in range(1, n)):
+            return None
+        return u[n - 1]
+
+    return _image(x, rule, 2 * n - 1, max(x.step, n - 1), new_alpha), move
 
 
 def recode(x: ForbiddenSetSFT, table: Mapping, window: int) -> tuple[ForbiddenSetSFT, Recode]:
@@ -329,7 +315,7 @@ def recode(x: ForbiddenSetSFT, table: Mapping, window: int) -> tuple[ForbiddenSe
 
     out_alpha = Alphabet(tuple(sorted(set(used.values()))))
     k_img = x.step + (window - 1) + (q - 1)
-    y = _recode_image(x, used, window, out_alpha, k_img)
+    y = _image(x, used.__getitem__, window, k_img, out_alpha)
     move = Recode(
         table=tuple(sorted(used.items())),
         window=window,

@@ -215,3 +215,39 @@ def slices_by_all_factors(top, jmax: int) -> dict:
     every length-j factor of every top word.  Works on any sliceable
     words (str, tuple) and returns factors of the same type."""
     return {j: {w[k : k + j] for w in top for k in range(jmax - j + 1)} for j in range(1, jmax)}
+
+
+def word_contraction_language(symbols: list[str], forbidden: list[str], w: str, fresh: str, n: int) -> list[str]:
+    """Length-n words of the image of the SFT under collapsing every
+    occurrence of w (no two may overlap) to the one-character `fresh`.
+
+    An image word v comes from a language word s psi(v) t, psi putting w
+    back for `fresh` and |s| = |t| = len(w) - 1.  Each such word is
+    contracted; image positions that come from its first and last
+    len(w) - 1 symbols are dropped, as their fate depends on symbols
+    outside it, and the length-n factors of the rest are collected.
+    Enumerating every language word long enough for n fresh symbols
+    would take 2^23 words on the full 2-shift for |w| = 4, n = 5.
+    Single-character symbols only.
+    """
+    k = len(w)
+    m = max((len(f) for f in forbidden), default=1) - 1
+    blocks = set(language_by_pruning(symbols, forbidden, m))
+    contexts = language_by_pruning(symbols, forbidden, k - 1)
+    found: set[str] = set()
+    for v in itertools.product(list(symbols) + [fresh], repeat=n):
+        middle = "".join(w if c == fresh else c for c in v)
+        if _has_factor(middle, forbidden):
+            continue
+        for s in contexts:
+            for t in contexts:
+                u = s + middle + t
+                if _has_factor(u, forbidden) or any(u[i : i + m] not in blocks for i in range(len(u) - m + 1)):
+                    continue
+                starts = [i for i in range(len(u) - k + 1) if u.startswith(w, i)]
+                inside = {i + j for i in starts for j in range(1, k)}
+                image = "".join(
+                    fresh if i in starts else u[i] for i in range(k - 1, len(u) - k + 1) if i not in inside
+                )
+                found |= {image[i : i + n] for i in range(len(image) - n + 1)}
+    return sorted(found)

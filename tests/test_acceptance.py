@@ -185,7 +185,9 @@ def _boosted(key: str):
 
 
 def test_criterion_07_entropy_boost():
-    boosted = _boosted("t2")
+    with budget(2.0):
+        boosted = boost_entropy_pipeline(full_shift(["a", "b"]), "a", "b", 2).result
+    _BOOSTED.setdefault("t2", boosted)
     est = entropy_word_count(boosted, 10)
     assert est.value >= 2.0
     print(f"criterion 7 PASS: boosted word-count entropy {est.value:.4f} >= 2.0")

@@ -34,7 +34,7 @@ from shiftflow import (
 from shiftflow import moves
 from shiftflow.jsonio import dumps, sft_json
 
-from .oracles import slices_by_all_factors
+from .oracles import slices_by_all_factors, word_contraction_language
 
 GOLDEN_MEAN = sft(["0", "1"], ["11"])
 # gap lengths 1 or 2 between consecutive 1s
@@ -68,6 +68,11 @@ def test_contains_word_refuses_to_split_multi_character_symbols():
     with pytest.raises(InvalidInput):
         contains_word(z, "◇2")
     assert contains_word(z, Word(["◇2"]))
+    with pytest.raises(InvalidInput, match="ambiguous"):
+        admits_nontrivial_overlaps(z, "1◇2")
+    assert not admits_nontrivial_overlaps(z, Word(["1", "◇2"]))
+    with pytest.raises(InvalidInput, match="ambiguous"):
+        word_contract(z, "1◇2")
 
 
 def _twice_expanded_pipeline() -> MovePipeline:
@@ -182,6 +187,27 @@ def test_word_contract_fresh_adjacency_iff_square_occurs():
         square = contains_word(x, w + w)
         pair = Word([mv.fresh, mv.fresh])
         assert contains_word(y, pair) == square, (w, square)
+
+
+def test_word_contract_image_matches_oracle_within_step_bound():
+    """The image of contracting a word of length n is an SFT of step at
+    most max(step, n - 1), with the language the oracle contracts out."""
+    cases = 0
+    for x in (full_shift(["0", "1"]), GOLDEN_MEAN, X_GAPS_12):
+        symbols = list(x.alphabet.symbols)
+        forbidden = [f.text() for f in x.forbidden]
+        for n in (2, 3, 4):
+            for w in enumerate_language(x, n):
+                if admits_nontrivial_overlaps(x, w):
+                    continue
+                y, mv = word_contract(x, w)
+                bound = max(x.step, n - 1)
+                assert y.step <= bound, (x, w, y)
+                for length in range(1, bound + 3):
+                    oracle = word_contraction_language(symbols, forbidden, w.text(), mv.fresh, length)
+                    assert texts(enumerate_language(y, length)) == oracle, (x, w, length)
+                cases += 1
+    assert cases > 15
 
 
 def test_word_contract_square_image():
