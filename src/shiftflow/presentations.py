@@ -84,10 +84,10 @@ def _subset_automaton(
     if include_singletons:
         seeds.extend(frozenset([v]) for v in lg.graph.vertices)
     queue: deque[frozenset] = deque()
-    seen: set[frozenset] = set()
+    seen: dict[frozenset, tuple] = {}
     for s in seeds:
         if s not in seen:
-            seen.add(s)
+            seen[s] = name(s)
             queue.append(s)
     states: list[frozenset] = []
     arcs: list[tuple[tuple, tuple, str]] = []
@@ -100,13 +100,13 @@ def _subset_automaton(
                 follow.setdefault(a, set()).add(t)
         for a in sorted(follow):
             nxt = frozenset(follow[a])
-            arcs.append((name(s), name(nxt), a))
             if nxt not in seen:
-                seen.add(nxt)
+                seen[nxt] = name(nxt)
                 queue.append(nxt)
-    vertices = [name(s) for s in states]
+            arcs.append((seen[s], seen[nxt], a))
+    vertices = [seen[s] for s in states]
     g = DirectedGraph.build(vertices, [(s, d) for s, d, _ in arcs])
-    return g, tuple(a for _, _, a in arcs), name(seed)
+    return g, tuple(a for _, _, a in arcs), seen[seed]
 
 
 def determinize(lg: LabeledGraph) -> LabeledGraph:
@@ -127,19 +127,13 @@ def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
     their own, since they vanish from the signature.
     """
     classes = {v: 0 for v in lg.graph.vertices}
-    step = {v: dict(lg.out_labeled(v)) for v in lg.graph.vertices}
+    step = {v: sorted(dict(lg.out_labeled(v)).items()) for v in lg.graph.vertices}
     while True:
-        sigs = {
-            v: tuple(sorted((a, classes[t]) for a, t in step[v].items()))
-            for v in lg.graph.vertices
-        }
         renumber: dict[tuple, int] = {}
-        new: dict[Vertex, int] = {}
-        for v in lg.graph.vertices:
-            key = (classes[v], sigs[v])
-            if key not in renumber:
-                renumber[key] = len(renumber)
-            new[v] = renumber[key]
+        new = {
+            v: renumber.setdefault((classes[v], tuple((a, classes[t]) for a, t in out)), len(renumber))
+            for v, out in step.items()
+        }
         if new == classes:
             return classes
         classes = new
@@ -159,22 +153,17 @@ def _quotient(lg: LabeledGraph, classes: dict[Vertex, int]) -> LabeledGraph:
     return labeled_graph([rename[c] for c in order], arcs)
 
 
-def _count_automaton(lg: LabeledGraph) -> tuple[DirectedGraph, Vertex] | None:
-    """Subset automaton of the essential part, or None when that is empty.
+def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
+    """|B_n| for n = 1 .. upto: paths of length n from the seed of the
+    subset automaton of the essential part.
 
     Counting must run on the essential part: a label path that dead-ends
     is readable but belongs to no point.
     """
     ess = lg.essential_part()
     if not ess.graph.vertices:
-        return None
+        return [0] * upto
     g, _, seed = _subset_automaton(ess)
-    return g, seed
-
-
-def _counts_on(aut: tuple[DirectedGraph, Vertex], upto: int) -> list[int]:
-    """Paths of length 1 .. upto from the seed: the sums of e_seed A^n."""
-    g, seed = aut
     rows = g.sparse_adjacency()
     vec = [0] * len(rows)
     vec[g.vertices.index(seed)] = 1
@@ -190,55 +179,52 @@ def _counts_on(aut: tuple[DirectedGraph, Vertex], upto: int) -> list[int]:
     return counts
 
 
-def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
-    """|B_n| for n = 1 .. upto."""
-    aut = _count_automaton(lg)
-    if aut is None:
-        return [0] * upto
-    return _counts_on(aut, upto)
+def _same_shift(p: LabeledGraph, q: LabeledGraph) -> bool:
+    """Whether p and q present the same shift: Moore's partition of their
+    subset automata (essential parts, both nonempty), joined side by side,
+    puts the two seeds in one class."""
+    vertices: list[tuple[int, Vertex]] = []
+    arcs: list[tuple[tuple, tuple, str]] = []
+    seeds = []
+    for tag, lg in enumerate((p, q)):
+        g, labels, seed = _subset_automaton(lg.essential_part())
+        vertices += [(tag, v) for v in g.vertices]
+        arcs += [((tag, e.src), (tag, e.dst), labels[e.eid]) for e in g.edges]
+        seeds.append((tag, seed))
+    classes = _moore_classes(labeled_graph(vertices, arcs))
+    return classes[seeds[0]] == classes[seeds[1]]
 
 
 def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     """Minimal right-resolving presentation of an irreducible sofic shift.
 
     Determinize from the full vertex set, merge states with equal
-    follower sets, then keep the unique closed component.  Inputs
-    presenting a reducible shift are rejected; the final language check
-    certifies the result presents the same shift, not a proper subshift.
+    follower sets, then keep the unique sink component, the one no edge
+    leaves.  Its language is contained in the input's; `_same_shift`
+    certifies equality.  Both subset automata are deterministic and every
+    state accepts, so Moore classes of their join are classes of equal
+    follower sets: the seeds share a class exactly when the languages are
+    equal.  Inputs presenting a reducible shift are rejected.
     """
     g, labels, _ = _subset_automaton(lg)
     det = LabeledGraph(g, labels).essential_part()
     if not det.graph.vertices:
         raise PreconditionError("presentation has no bi-infinite points")
     merged = _quotient(det, _moore_classes(det))
-    comps = merged.graph.strongly_connected_components()
-    comp_of: dict[Vertex, int] = {}
-    for i, c in enumerate(comps):
-        for v in c.vertices:
-            comp_of[v] = i
-    sinks = set(range(len(comps)))
-    for e in merged.graph.edges:
-        if comp_of.get(e.src) != comp_of.get(e.dst):
-            sinks.discard(comp_of.get(e.src, -1))
-    sinks.discard(-1)
-    if len(sinks) != 1:
-        raise PreconditionError(
-            "presentation is not an irreducible sofic shift; "
-            "minimize each strongly connected component separately"
-        )
-    sink = comps[sinks.pop()]
-    result = _quotient(LabeledGraph(sink, merged.labels), {v: i for i, v in enumerate(sink.vertices)})
-    aut_in = _count_automaton(lg)
-    aut_out = _count_automaton(result)
-    if aut_in is None or aut_out is None:
-        raise PreconditionError("presentation has no bi-infinite points")
-    horizon = len(aut_in[0].vertices) + len(aut_out[0].vertices) + 2
-    if _counts_on(aut_in, horizon) != _counts_on(aut_out, horizon):
-        raise PreconditionError(
-            "presentation is not an irreducible sofic shift; "
-            "minimize each strongly connected component separately"
-        )
-    return result
+    sinks = []
+    for comp in merged.graph.strongly_connected_components():
+        inside = set(comp.vertices)
+        if all(e.dst in inside for v in comp.vertices for e in merged.graph.out_edges(v)):
+            sinks.append(comp)
+    if len(sinks) == 1:
+        sink = sinks[0]
+        result = _quotient(LabeledGraph(sink, merged.labels), {v: i for i, v in enumerate(sink.vertices)})
+        if _same_shift(lg, result):
+            return result
+    raise PreconditionError(
+        "presentation is not an irreducible sofic shift; "
+        "minimize each strongly connected component separately"
+    )
 
 
 def follower_table(lg: LabeledGraph, depth: int) -> dict[Vertex, frozenset[Word]]:

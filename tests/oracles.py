@@ -210,6 +210,56 @@ def counts_from_dense(a: list[list[int]], seed: int, upto: int) -> list[int]:
     return counts
 
 
+def _seed_automaton(arcs: list[tuple]) -> tuple[dict, frozenset]:
+    """Subset automaton of the essential part of a labeled graph given as
+    (src, dst, label) triples, seeded with every essential vertex."""
+    while True:
+        alive = {s for s, _, _ in arcs} & {d for _, d, _ in arcs}
+        kept = [a for a in arcs if a[0] in alive and a[1] in alive]
+        if len(kept) == len(arcs):
+            break
+        arcs = kept
+    seed = frozenset(alive)
+    delta: dict[frozenset, dict[str, frozenset]] = {}
+    todo = [seed] if seed else []
+    while todo:
+        state = todo.pop()
+        if state in delta:
+            continue
+        step: dict[str, set] = {}
+        for s, d, lab in arcs:
+            if s in state:
+                step.setdefault(lab, set()).add(d)
+        delta[state] = {lab: frozenset(ts) for lab, ts in step.items()}
+        todo.extend(delta[state].values())
+    return delta, seed
+
+
+def same_language_by_counting(p: list[tuple], q: list[tuple]) -> bool:
+    """Whether two labeled graphs, as (src, dst, label) triples, present
+    shifts with equal word counts |B_n| for every n up to the horizon
+    |A_p| + |A_q| + 2, A being the subset automaton of the essential part.
+
+    Equal counts mean equal shifts only when q's language is contained in
+    p's, as for a sub-presentation or a minimized presentation of p.
+    """
+    autos = [_seed_automaton(list(arcs)) for arcs in (p, q)]
+    horizon = len(autos[0][0]) + len(autos[1][0]) + 2
+    counts = []
+    for delta, seed in autos:
+        vec = {seed: 1} if seed else {}
+        row = []
+        for _ in range(horizon):
+            nxt: dict[frozenset, int] = {}
+            for state, c in vec.items():
+                for t in delta[state].values():
+                    nxt[t] = nxt.get(t, 0) + c
+            vec = nxt
+            row.append(sum(vec.values()))
+        counts.append(row)
+    return counts[0] == counts[1]
+
+
 def slices_by_all_factors(top, jmax: int) -> dict:
     """Slices 1 .. jmax - 1 of a language from its length-jmax words `top`:
     every length-j factor of every top word.  Works on any sliceable

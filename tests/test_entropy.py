@@ -25,7 +25,7 @@ from shiftflow import (
 )
 
 from shiftflow.entropy import _power_iteration_rho
-from shiftflow.presentations import _count_automaton, _sofic_word_counts
+from shiftflow.presentations import _sofic_word_counts, _subset_automaton
 
 from .oracles import counts_from_dense, path_count_dense, power_iteration_rho_dense, spectral_radius_by_iteration
 
@@ -217,6 +217,6 @@ def test_sparse_graph_core_matches_dense_oracles():
         arcs = [(i, (i + 1) % n, rng.choice("abc")) for i in range(n)]
         arcs += [(rng.randrange(n), rng.randrange(n), rng.choice("abc")) for _ in range(rng.randint(0, 2 * n))]
         lg = labeled_graph(range(n), arcs)
-        aut, seed = _count_automaton(lg)
+        aut, _, seed = _subset_automaton(lg.essential_part())
         expected = counts_from_dense(_dense(aut), aut.vertices.index(seed), 12)
         assert _sofic_word_counts(lg, 12) == expected

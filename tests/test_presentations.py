@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,10 @@ from shiftflow import (
     sofic_entropy,
     symbol_expand,
 )
+from shiftflow import presentations
+from shiftflow.jsonio import dumps, labeled_graph_json
+
+from .oracles import same_language_by_counting
 
 # Standard presentation of the even shift: 0-runs between 1s have even length.
 EVEN = labeled_graph(
@@ -190,3 +195,144 @@ def test_full_shift_presentation_minimizes_to_one_state():
     lg = sft_presentation(full_shift(["a", "b"]))
     m = minimal_right_resolving(lg)
     assert len(m.graph.vertices) == 1
+
+
+def _arcs(lg: LabeledGraph) -> list[tuple]:
+    return [(e.src, e.dst, lg.label(e)) for e in lg.graph.edges]
+
+
+def _cycle_plus_edges(rng: random.Random, names: list[str], labels: str, extra: int) -> list[tuple]:
+    """Hamiltonian cycle on `names` plus up to `extra` random labeled edges."""
+    n = len(names)
+    arcs = [(names[i], names[(i + 1) % n], rng.choice(labels)) for i in range(n)]
+    arcs += [(rng.choice(names), rng.choice(names), rng.choice(labels)) for _ in range(rng.randint(0, extra))]
+    return arcs
+
+
+def _differential_graph(seed: int) -> LabeledGraph:
+    """Seeded graph on 2-3 labels; seed % 3 picks the kind: a Hamiltonian
+    cycle plus random edges on 3-6 vertices, two strongly connected parts
+    with edges from the first into the second, or a source part with edges
+    into two sink parts."""
+    rng = random.Random(seed)
+    labels = "abc"[: rng.randint(2, 3)]
+    kind = seed % 3
+    if kind == 0:
+        names = [str(i) for i in range(rng.randint(3, 6))]
+        return labeled_graph(names, _cycle_plus_edges(rng, names, labels, 2 * len(names)))
+    parts = [[f"{c}{i}" for i in range(rng.randint(1, 3))] for c in "stu"[: kind + 1]]
+    arcs = [a for part in parts for a in _cycle_plus_edges(rng, part, labels, len(part))]
+    for sink in parts[1:]:
+        arcs += [(rng.choice(parts[0]), rng.choice(sink), rng.choice(labels)) for _ in range(rng.randint(1, 2))]
+    return labeled_graph([v for part in parts for v in part], arcs)
+
+
+def _minimize_outcome(lg: LabeledGraph) -> tuple[str, str]:
+    try:
+        return "accepted", dumps(labeled_graph_json(minimal_right_resolving(lg)))
+    except PreconditionError as exc:
+        return "refused", str(exc)
+
+
+def test_moore_certificate_matches_counting_oracle(monkeypatch):
+    """The Moore-partition certificate and word counting up to the horizon
+    give the same verdict on every pair they are asked about, and
+    minimization accepts or refuses (same message) under either."""
+    graphs = [_differential_graph(seed) for seed in range(300)]
+    moore = presentations._same_shift
+    verdicts = []
+
+    def checked(p, q):
+        verdict = moore(p, q)
+        assert verdict == same_language_by_counting(_arcs(p), _arcs(q)), (_arcs(p), _arcs(q))
+        verdicts.append(verdict)
+        return verdict
+
+    # Pairs beyond minimization: the graph against each of its strongly
+    # connected sub-presentations, whose languages it contains.
+    for lg in graphs:
+        for comp in lg.graph.strongly_connected_components():
+            checked(lg, LabeledGraph(comp, lg.labels))
+    monkeypatch.setattr(presentations, "_same_shift", checked)
+    outcomes = [_minimize_outcome(lg) for lg in graphs]
+    monkeypatch.setattr(presentations, "_same_shift", lambda p, q: same_language_by_counting(_arcs(p), _arcs(q)))
+    assert [_minimize_outcome(lg) for lg in graphs] == outcomes
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+    refused = {msg for kind, msg in outcomes if kind == "refused"}
+    assert refused == {
+        "presentation is not an irreducible sofic shift; minimize each strongly connected component separately"
+    }
+
+
+SEED_2499_MINIMAL = (
+    '{"vertices":["0","1","2","3","4","5","6","7","8","9","10","11","12","13","14","15","'
+    '16","17","18","19","20","21","22","23","24","25","26","27","28","29","30","31","32",'
+    '"33","34","35","36","37","38","39","40","41"],"edges":[{"from":"0","to":"0","label":'
+    '"a"},{"from":"0","to":"1","label":"b"},{"from":"0","to":"2","label":"c"},{"from":"1"'
+    ',"to":"3","label":"a"},{"from":"1","to":"4","label":"b"},{"from":"1","to":"5","label'
+    '":"c"},{"from":"2","to":"0","label":"a"},{"from":"2","to":"1","label":"b"},{"from":"'
+    '2","to":"6","label":"c"},{"from":"3","to":"7","label":"a"},{"from":"3","to":"8","lab'
+    'el":"b"},{"from":"3","to":"9","label":"c"},{"from":"4","to":"10","label":"a"},{"from'
+    '":"4","to":"11","label":"b"},{"from":"4","to":"5","label":"c"},{"from":"5","to":"12"'
+    ',"label":"a"},{"from":"5","to":"1","label":"b"},{"from":"5","to":"13","label":"c"},{'
+    '"from":"6","to":"14","label":"a"},{"from":"6","to":"15","label":"b"},{"from":"6","to'
+    '":"6","label":"c"},{"from":"7","to":"16","label":"a"},{"from":"7","to":"7","label":"'
+    'c"},{"from":"8","to":"3","label":"a"},{"from":"8","to":"10","label":"b"},{"from":"8"'
+    ',"to":"17","label":"c"},{"from":"9","to":"18","label":"a"},{"from":"9","to":"8","lab'
+    'el":"b"},{"from":"9","to":"19","label":"c"},{"from":"10","to":"11","label":"b"},{"fr'
+    'om":"10","to":"20","label":"c"},{"from":"11","to":"10","label":"a"},{"from":"11","to'
+    '":"21","label":"c"},{"from":"12","to":"22","label":"a"},{"from":"12","to":"21","labe'
+    'l":"b"},{"from":"12","to":"23","label":"c"},{"from":"13","to":"24","label":"a"},{"fr'
+    'om":"13","to":"21","label":"b"},{"from":"13","to":"8","label":"c"},{"from":"14","to"'
+    ':"2","label":"a"},{"from":"14","to":"1","label":"b"},{"from":"14","to":"25","label":'
+    '"c"},{"from":"15","to":"26","label":"a"},{"from":"15","to":"4","label":"b"},{"from":'
+    '"15","to":"20","label":"c"},{"from":"16","to":"13","label":"a"},{"from":"16","to":"4'
+    '","label":"b"},{"from":"16","to":"26","label":"c"},{"from":"17","to":"27","label":"a'
+    '"},{"from":"17","to":"15","label":"b"},{"from":"17","to":"13","label":"c"},{"from":"'
+    '18","to":"28","label":"a"},{"from":"18","to":"11","label":"b"},{"from":"18","to":"29'
+    '","label":"c"},{"from":"19","to":"30","label":"a"},{"from":"19","to":"15","label":"b'
+    '"},{"from":"19","to":"19","label":"c"},{"from":"20","to":"31","label":"a"},{"from":"'
+    '20","to":"8","label":"b"},{"from":"20","to":"13","label":"c"},{"from":"21","to":"26"'
+    ',"label":"a"},{"from":"21","to":"10","label":"b"},{"from":"21","to":"26","label":"c"'
+    '},{"from":"22","to":"32","label":"a"},{"from":"22","to":"4","label":"b"},{"from":"22'
+    '","to":"33","label":"c"},{"from":"23","to":"34","label":"a"},{"from":"23","to":"10",'
+    '"label":"b"},{"from":"23","to":"35","label":"c"},{"from":"24","to":"16","label":"a"}'
+    ',{"from":"24","to":"11","label":"b"},{"from":"24","to":"33","label":"c"},{"from":"25'
+    '","to":"36","label":"a"},{"from":"25","to":"8","label":"b"},{"from":"25","to":"6","l'
+    'abel":"c"},{"from":"26","to":"7","label":"a"},{"from":"26","to":"21","label":"b"},{"'
+    'from":"26","to":"11","label":"c"},{"from":"27","to":"37","label":"a"},{"from":"27","'
+    'to":"21","label":"b"},{"from":"27","to":"31","label":"c"},{"from":"28","to":"13","la'
+    'bel":"a"},{"from":"28","to":"4","label":"b"},{"from":"28","to":"20","label":"c"},{"f'
+    'rom":"29","to":"2","label":"a"},{"from":"29","to":"1","label":"b"},{"from":"29","to"'
+    ':"12","label":"c"},{"from":"30","to":"37","label":"a"},{"from":"30","to":"8","label"'
+    ':"b"},{"from":"30","to":"25","label":"c"},{"from":"31","to":"28","label":"a"},{"from'
+    '":"31","to":"38","label":"c"},{"from":"32","to":"39","label":"a"},{"from":"32","to":'
+    '"1","label":"b"},{"from":"32","to":"19","label":"c"},{"from":"33","to":"40","label":'
+    '"a"},{"from":"33","to":"8","label":"b"},{"from":"33","to":"12","label":"c"},{"from":'
+    '"34","to":"12","label":"a"},{"from":"34","to":"1","label":"b"},{"from":"34","to":"9"'
+    ',"label":"c"},{"from":"35","to":"29","label":"a"},{"from":"35","to":"15","label":"b"'
+    '},{"from":"35","to":"12","label":"c"},{"from":"36","to":"41","label":"a"},{"from":"3'
+    '6","to":"4","label":"b"},{"from":"36","to":"29","label":"c"},{"from":"37","to":"32",'
+    '"label":"a"},{"from":"37","to":"4","label":"b"},{"from":"37","to":"27","label":"c"},'
+    '{"from":"38","to":"5","label":"a"},{"from":"38","to":"10","label":"b"},{"from":"38",'
+    '"to":"27","label":"c"},{"from":"39","to":"22","label":"a"},{"from":"39","to":"8","la'
+    'bel":"b"},{"from":"39","to":"2","label":"c"},{"from":"40","to":"41","label":"a"},{"f'
+    'rom":"40","to":"4","label":"b"},{"from":"40","to":"35","label":"c"},{"from":"41","to'
+    '":"39","label":"a"},{"from":"41","to":"1","label":"b"},{"from":"41","to":"32","label'
+    '":"c"}]}'
+)
+
+
+def test_minimize_seed_2499_graph_within_budget():
+    """Six vertices, three labels: the subset automaton of the result has
+    2,883 states, so certifying by word counts took seconds."""
+    rng = random.Random(2499)
+    names = [str(i) for i in range(6)]
+    arcs = [(names[i], names[(i + 1) % 6], rng.choice("abc")) for i in range(6)]
+    arcs += [(rng.choice(names), rng.choice(names), rng.choice("abc")) for _ in range(rng.randint(1, 14))]
+    lg = labeled_graph(names, arcs)
+    start = time.monotonic()
+    m = minimal_right_resolving(lg)
+    elapsed = time.monotonic() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
+    assert dumps(labeled_graph_json(m)) == SEED_2499_MINIMAL
