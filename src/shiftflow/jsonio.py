@@ -258,7 +258,7 @@ def pipeline_json(pipe: MovePipeline) -> dict:
     return {"source": sft_json(pipe.source), "moves": moves}
 
 
-def _int_list(value: Any, path: str, sorted_required: bool = False) -> list[int]:
+def _int_list(value: Any, path: str) -> list[int]:
     out: list[int] = []
     for i, v in enumerate(_expect_list(value, path)):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -266,7 +266,7 @@ def _int_list(value: Any, path: str, sorted_required: bool = False) -> list[int]
         if v < 0:
             raise _fail(f"{path}[{i}]", f"negative value {v}")
         out.append(v)
-    if sorted_required and out != sorted(set(out)):
+    if out != sorted(set(out)):
         raise _fail(path, "must be strictly increasing")
     return out
 
@@ -277,7 +277,7 @@ def parse_sgap(doc: Any, path: str = "") -> SGapSet:
     if kind == "finite":
         if "elements" not in obj:
             raise _fail(path, "a finite gap set needs \"elements\"")
-        return FiniteGaps(tuple(_int_list(obj["elements"], "elements", sorted_required=True)))
+        return FiniteGaps(tuple(_int_list(obj["elements"], "elements")))
     if kind == "eventually_periodic":
         for key in ("R", "T", "N"):
             if key not in obj:
@@ -286,8 +286,8 @@ def parse_sgap(doc: Any, path: str = "") -> SGapSet:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise _fail("N", "expected a positive integer period")
         return EventuallyPeriodicGaps(
-            tuple(_int_list(obj["R"], "R", sorted_required=True)),
-            tuple(_int_list(obj["T"], "T", sorted_required=True)),
+            tuple(_int_list(obj["R"], "R")),
+            tuple(_int_list(obj["T"], "T")),
             n,
         )
     if kind == "sampled":
@@ -297,7 +297,7 @@ def parse_sgap(doc: Any, path: str = "") -> SGapSet:
         bound = obj["bound"]
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise _fail("bound", "expected a nonnegative integer")
-        return SampledGaps(tuple(_int_list(obj["members"], "members", sorted_required=True)), bound)
+        return SampledGaps(tuple(_int_list(obj["members"], "members")), bound)
     raise _fail(f"{path}.kind" if path else "kind", f"unknown kind {kind!r}")
 
 

@@ -16,13 +16,14 @@ from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .sft import (
     ForbiddenSetSFT,
     _edge_shift,
+    _slices_below,
     _unambiguous_word,
     apply_block_map,
     contains_word,
     enumerate_language,
     minimize_from_language,
 )
-from .words import EMPTY_WORD, Alphabet, PeriodicOrbit, Word, _word
+from .words import Alphabet, PeriodicOrbit, Word, _word
 
 
 @dataclass(frozen=True)
@@ -138,20 +139,6 @@ def _image(
     live = {s for w in found for s in w}
     alpha = Alphabet(tuple(s for s in alphabet if s in live))
     return minimize_from_language(alpha, _slices_below(found, jmax), k)
-
-
-def _slices_below(top: set[Word], jmax: int) -> dict[int, set[Word]]:
-    """Language slices B_0 .. B_jmax from the length-jmax slice `top`.
-
-    A length-j factor of a length-jmax word is the prefix or the suffix
-    of one of its length-(j+1) factors, so each slice is built from the
-    one above it.
-    """
-    bsets: dict[int, set[Word]] = {jmax: top, 0: {EMPTY_WORD}}
-    for j in range(jmax - 1, 0, -1):
-        above = bsets[j + 1]
-        bsets[j] = {w[:-1] for w in above} | {w[1:] for w in above}
-    return bsets
 
 
 def prune_dead_symbols(x: ForbiddenSetSFT) -> ForbiddenSetSFT:

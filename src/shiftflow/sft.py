@@ -123,6 +123,11 @@ def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
     Each forbidden word is replaced by all length-(m+1) words containing
     it.  An empty forbidden set is returned unchanged: the full shift
     needs no constraints at any step.
+
+    The output lists every inadmissible (m+1)-word, about |A|^(m+1) of
+    them, and building it walks all |A|^(m+1) words.  For the edge shift
+    alone, `sft_presentation(x).graph` is the same graph without that
+    cost.
     """
     if not x.forbidden:
         return x
@@ -272,8 +277,22 @@ def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     a language-count check can certify.
     """
     k = x.step
-    bsets = {n: set(enumerate_language(x, n)) for n in range(k + 2)}
+    bsets = _slices_below(set(enumerate_language(x, k + 1)), k + 1)
     return minimize_from_language(x.alphabet, bsets, k)
+
+
+def _slices_below(top: set[Word], jmax: int) -> dict[int, set[Word]]:
+    """Language slices B_0 .. B_jmax from the length-jmax slice `top`.
+
+    A length-j factor of a length-jmax word is the prefix or the suffix
+    of one of its length-(j+1) factors, so each slice is built from the
+    one above it.
+    """
+    bsets: dict[int, set[Word]] = {jmax: top, 0: {EMPTY_WORD}}
+    for j in range(jmax - 1, 0, -1):
+        above = bsets[j + 1]
+        bsets[j] = {w[:-1] for w in above} | {w[1:] for w in above}
+    return bsets
 
 
 def minimize_from_language(alphabet: Alphabet, bsets: Mapping[int, set[Word]], k: int) -> ForbiddenSetSFT:

@@ -99,10 +99,15 @@ class FEVerdict:
     bound: int | None = None
 
 
-def _member_fn(s: FiniteGaps | EventuallyPeriodicGaps) -> Callable[[int], bool]:
+def _exact(s: FiniteGaps | EventuallyPeriodicGaps) -> EventuallyPeriodicGaps:
+    """The one form every exact gap set is read in: its minimal form, a
+    finite set E being EventuallyPeriodicGaps(E, (), 1)."""
     if isinstance(s, FiniteGaps):
-        elems = frozenset(s.elements)
-        return lambda x: x in elems
+        return EventuallyPeriodicGaps(s.elements, (), 1)
+    return minimal_form(s)
+
+
+def _member_fn(s: EventuallyPeriodicGaps) -> Callable[[int], bool]:
     sporadic = frozenset(s.R)
     offsets = s.T
     period = s.N
@@ -125,29 +130,23 @@ def forbidden_words(s: SGapSet, max_len: int) -> set[Word]:
         raise PreconditionError(
             f"max_len {max_len} exceeds the verified window {s.bound} + 2"
         )
-    finite_elems: tuple[int, ...] | None = None
-    if isinstance(s, FiniteGaps):
-        finite_elems = s.elements
-    elif isinstance(s, EventuallyPeriodicGaps):
-        m = minimal_form(s)
-        if not m.T:
-            if not m.R:
-                raise InvalidInput("empty gap set")
-            finite_elems = m.R
     out: set[Word] = set()
-    if finite_elems is not None:
-        allowed = set(finite_elems)
-        top = finite_elems[-1]
-        for k in range(top):
-            if k not in allowed:
-                out.add(Word("1" + "0" * k + "1"))
-        out.add(Word("0" * (top + 1)))
-        return out
     if isinstance(s, SampledGaps):
         mem = set(s.members)
         member = lambda x: x in mem
     else:
-        member = _member_fn(minimal_form(s))
+        m = _exact(s)
+        if not m.T:
+            if not m.R:
+                raise InvalidInput("empty gap set")
+            allowed = set(m.R)
+            top = m.R[-1]
+            for k in range(top):
+                if k not in allowed:
+                    out.add(Word("1" + "0" * k + "1"))
+            out.add(Word("0" * (top + 1)))
+            return out
+        member = _member_fn(m)
     for k in range(max(max_len - 1, 0)):
         if not member(k):
             out.add(Word("1" + "0" * k + "1"))
@@ -194,17 +193,15 @@ def minimal_form(s: EventuallyPeriodicGaps) -> EventuallyPeriodicGaps:
 
 def classify_type(s: SGapSet) -> Classification:
     """finite_type / strictly_sofic, bound-qualified for sampled input."""
-    if isinstance(s, FiniteGaps):
-        return Classification("finite_type")
-    if isinstance(s, EventuallyPeriodicGaps):
-        m = minimal_form(s)
-        if not m.T or m.N == 1:
-            return Classification("finite_type")
-        return Classification("strictly_sofic")
-    detected = detect_eventual_periodicity(s)
-    if detected is None:
-        return Classification("not_eventually_periodic_up_to_bound", bound=s.bound)
-    return Classification(classify_type(detected).kind, bound=s.bound)
+    if isinstance(s, (FiniteGaps, EventuallyPeriodicGaps)):
+        m, bound = _exact(s), None
+    else:
+        m, bound = detect_eventual_periodicity(s), s.bound
+        if m is None:
+            return Classification("not_eventually_periodic_up_to_bound", bound=bound)
+    if not m.T or m.N == 1:
+        return Classification("finite_type", bound=bound)
+    return Classification("strictly_sofic", bound=bound)
 
 
 def shift_set(s: SGapSet, k: int) -> SGapSet:
@@ -244,9 +241,7 @@ def fe_invariant(s: SGapSet) -> FullShift | SoficTag:
     """Canonical flow-equivalence tag for exactly described gap sets."""
     if isinstance(s, SampledGaps):
         raise PreconditionError("sampled sets carry no exact invariant; use fe_equal")
-    if isinstance(s, FiniteGaps):
-        return FullShift(len(s.elements))
-    m = minimal_form(s)
+    m = _exact(s)
     if not m.T:
         if not m.R:
             raise InvalidInput("empty gap set has no invariant")
@@ -281,30 +276,18 @@ def _signed_range(cap: int) -> Iterator[int]:
         yield -v
 
 
-def _as_exact(s: SGapSet) -> FiniteGaps | EventuallyPeriodicGaps | None:
-    if isinstance(s, FiniteGaps):
-        return s
-    if isinstance(s, EventuallyPeriodicGaps):
-        m = minimal_form(s)
-        if not m.T:
-            if not m.R:
-                raise InvalidInput("empty gap set")
-            return FiniteGaps(m.R)
-        return m
-    detected = detect_eventual_periodicity(s)
-    if detected is None:
-        return None
-    if not detected.T:
-        if not detected.R:
-            raise InvalidInput("empty gap set")
-        return FiniteGaps(detected.R)
-    return detected
+def _as_exact(s: SGapSet) -> EventuallyPeriodicGaps | None:
+    if isinstance(s, (FiniteGaps, EventuallyPeriodicGaps)):
+        m = _exact(s)
+    else:
+        m = detect_eventual_periodicity(s)
+    if m is not None and not m.T and not m.R:
+        raise InvalidInput("empty gap set")
+    return m
 
 
 def _fe_equal_exact(
-    a: FiniteGaps | EventuallyPeriodicGaps,
-    b: FiniteGaps | EventuallyPeriodicGaps,
-    bound: int,
+    a: EventuallyPeriodicGaps, b: EventuallyPeriodicGaps, bound: int
 ) -> FEVerdict:
     tag_a = fe_invariant(a)
     tag_b = fe_invariant(b)
@@ -328,28 +311,24 @@ def _fe_equal_exact(
 
     # Same tag: hunt for a cofinite translation witness.  Offsets must
     # realign mod N, so only one residue class of r can work.
-    ea = minimal_form(a) if isinstance(a, EventuallyPeriodicGaps) else None
-    eb = minimal_form(b) if isinstance(b, EventuallyPeriodicGaps) else None
-    assert ea is not None and eb is not None
-    period = ea.N
-    want = {t % period for t in eb.T}
-    m1 = _member_fn(ea)
-    m2 = _member_fn(eb)
-    span = max(ea.R + ea.T + eb.R + eb.T) + period
+    period = a.N
+    want = {t % period for t in b.T}
+    m1 = _member_fn(a)
+    m2 = _member_fn(b)
+    span = max(a.R + a.T + b.R + b.T) + period
     best: tuple[tuple[int, int, int], int] | None = None
     for r in _signed_range(span + (bound + 2) * period):
         # beyond the span, |r| alone forces at least one removal per period
         if best is not None and (abs(r) - span) // period > best[0][0]:
             break
-        if {(t + r) % period for t in ea.T} != want:
+        if {(t + r) % period for t in a.T} != want:
             continue
-        horizon = span + abs(r) + 2 * period
-        forced_a = [
-            x for x in range(horizon + 1) if m1(x) and not (x + r >= 0 and m2(x + r))
-        ]
-        forced_b = [
-            y for y in range(horizon + 1) if m2(y) and not (y - r >= 0 and m1(y - r))
-        ]
+        # With this window, a is counted up to span + 2N + |r| - max(r, 0)
+        # and b up to span + 2N + |r| + min(r, 0).  Past span both sets
+        # are periodic and the residue filter aligns them, so a member x
+        # of a can be forced only if x <= span + max(-r, 0), and a member
+        # y of b only if y <= span + max(r, 0): both ranges cover them.
+        forced_a, forced_b = _forced_removals(m1, m2, r, span + abs(r) + 2 * period)
         n = max(len(forced_a), len(forced_b))
         if n <= bound:
             key = (n, abs(r), 0 if r >= 0 else 1)
@@ -365,8 +344,7 @@ def _window_membership(s: SGapSet) -> tuple[Callable[[int], bool], int | None]:
     if isinstance(s, SampledGaps):
         mem = frozenset(s.members)
         return (lambda x: x in mem), s.bound
-    exact = s if isinstance(s, FiniteGaps) else minimal_form(s)
-    return _member_fn(exact), None
+    return _member_fn(_exact(s)), None
 
 
 def _forced_removals(

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from shiftflow.cli import main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 GM = '{"alphabet":["0","1"],"forbidden":["11"]}'
 FULL2 = '{"alphabet":["a","b"],"forbidden":[]}'
 
@@ -257,3 +261,44 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, ["entropy", GM])
     second = run(capsys, ["entropy", GM])
     assert first == second
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ python3 -m shiftflow ...` line of the README's sh blocks,
+    with the lines listed under it."""
+    examples: list[tuple[str, list[str]]] = []
+    in_sh = False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("$ python3 -m shiftflow "):
+            examples.append((line, []))
+        elif in_sh and examples and not line.startswith("$"):
+            examples[-1][1].append(line)
+    return examples
+
+
+def _expand_progression(arg: str) -> str:
+    """Write `a,b,...,z` out as the arithmetic progression it stands for."""
+
+    def spell(m: re.Match) -> str:
+        a, b, z = (int(g) for g in m.groups())
+        step = b - a
+        return ",".join(str(v) for v in range(a, z + step // abs(step), step))
+
+    return re.sub(r"(-?\d+),(-?\d+),\.\.\.,(-?\d+)", spell, arg)
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 13
+    for command, listed in examples:
+        argv = [_expand_progression(a) for a in shlex.split(command)[4:]]
+        code, out, err = run(capsys, argv)
+        assert (err + out).splitlines() == listed, command
+        if listed[0].startswith("error:"):
+            assert code == 2, command
+        elif "bound" in json.loads(listed[-1]):
+            assert code == 3, command
+        else:
+            assert code == 0, command

@@ -140,8 +140,8 @@ def test_minimal_form_examples():
     assert minimal_form(m) == m
 
 
-def _random_ep(rng: random.Random) -> EventuallyPeriodicGaps:
-    n = rng.randint(1, 6)
+def _random_ep(rng: random.Random, n: int | None = None) -> EventuallyPeriodicGaps:
+    n = rng.randint(1, 6) if n is None else n
     r = tuple(rng.sample(range(16), rng.randint(0, 3)))
     t = tuple(rng.sample(range(21), rng.randint(1, 3)))
     return EventuallyPeriodicGaps(r, t, n)
@@ -278,6 +278,14 @@ def test_fe_equal_rejects_bad_bound():
 
 
 def test_fe_equal_is_an_equivalence_on_exact_sets():
+    finite = FiniteGaps((1, 3, 4))
+    # (description, the pool set it describes)
+    aliases = [(EventuallyPeriodicGaps(finite.elements, (), n), finite) for n in range(1, 5)]
+    aliases.append((EventuallyPeriodicGaps((0, 2), (4, 6), 4), EVENS))
+    for alias, described in aliases:
+        assert classify_type(alias) == classify_type(described)
+        assert fe_invariant(alias) == fe_invariant(described)
+        assert forbidden_words(alias, 12) == forbidden_words(described, 12)
     pool = [
         FiniteGaps((0, 2)),
         FiniteGaps((5, 9)),
@@ -288,7 +296,8 @@ def test_fe_equal_is_an_equivalence_on_exact_sets():
         EventuallyPeriodicGaps((), (1,), 4),
         EventuallyPeriodicGaps((0,), (3,), 1),
         EventuallyPeriodicGaps((), (0, 1), 3),
-    ]
+        finite,
+    ] + [alias for alias, _ in aliases]
     verdicts = {}
     for i, a in enumerate(pool):
         assert fe_equal(a, a).outcome == "equivalent"
@@ -317,7 +326,8 @@ def test_fe_equal_translation_always_witnessed():
 
 
 def test_fe_equal_witness_is_checkable():
-    """Recount the forced removals the witness claims."""
+    """Recount the forced removals the witness claims, on translates and
+    translates with sporadic noise of random sofic sets."""
     pairs = [
         (EVENS, ODDS),
         (EventuallyPeriodicGaps((), (0,), 4), EventuallyPeriodicGaps((), (1,), 4)),
@@ -326,6 +336,21 @@ def test_fe_equal_witness_is_checkable():
             EventuallyPeriodicGaps((), (1,), 3),
         ),
     ]
+    rng = random.Random(43)
+
+    def noisy(s):
+        if rng.random() < 0.5:
+            return s
+        noise = tuple(rng.sample(range(60), rng.randint(1, 3)))
+        return EventuallyPeriodicGaps(s.R + noise, s.T, s.N)
+
+    while len(pairs) < 300:
+        a = _random_ep(rng, rng.randint(2, 6))
+        if not isinstance(fe_invariant(a), SoficTag):
+            continue
+        b = noisy(shift_set(a, rng.randint(1, 30)))
+        a = noisy(a)
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
     for a, b in pairs:
         v = fe_equal(a, b)
         assert v.outcome == "equivalent" and v.witness is not None
