@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import jsonio
 from .entropy import (
@@ -76,9 +76,21 @@ def _cmd_language_enum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_names(words: Iterable[Word], what: str) -> None:
+    """Refuse two different blocks that would print as one name."""
+    seen: dict[str, Word] = {}
+    for w in words:
+        other = seen.setdefault(w.text(), w)
+        if other != w:
+            a, b = (jsonio.dumps(jsonio.word_json(v)) for v in (other, w))
+            raise ShiftSpaceError(f"{what} clash: blocks {a} and {b} both print as {jsonio.dumps(w.text())}")
+
+
 def _cmd_graph_edge_shift(args: argparse.Namespace) -> int:
     x = jsonio.parse_sft(_load_document(args.sft))
     graph, edge_words = sft_to_edge_shift(x)
+    _check_names(graph.vertices, "vertex name")
+    _check_names(edge_words.values(), "edge label")
     _emit(jsonio.graph_json(graph, {eid: w.text() for eid, w in edge_words.items()}))
     return 0
 

@@ -86,20 +86,12 @@ def symbol_expand(x: ForbiddenSetSFT, symbol: str) -> tuple[ForbiddenSetSFT, Sym
     if symbol not in x.alphabet:
         raise InvalidInput(f"{symbol!r} is not in the alphabet")
     new_alpha, fresh = x.alphabet.with_fresh()
-
-    def rewrite(w: Word) -> Word:
-        out: list[str] = []
-        for s in w:
-            out.append(s)
-            if s == symbol:
-                out.append(fresh)
-        return Word(out)
-
-    forbidden = {rewrite(w) for w in x.forbidden}
+    move = SymbolExpansion(symbol, fresh)
+    forbidden = {_move_word(move, w) for w in x.forbidden}
     forbidden |= {Word([b, fresh]) for b in x.alphabet if b != symbol}
     forbidden.add(Word([fresh, fresh]))
     forbidden |= {Word([symbol, b]) for b in x.alphabet}
-    return ForbiddenSetSFT(new_alpha, frozenset(forbidden)), SymbolExpansion(symbol, fresh)
+    return ForbiddenSetSFT(new_alpha, frozenset(forbidden)), move
 
 
 def _image(

@@ -15,10 +15,6 @@ from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .graphs import DirectedGraph, Edge, path_count
 from .words import EMPTY_WORD, Alphabet, Word, _word
 
-# Candidate-graph enumeration is skipped when the raw word cube would
-# exceed this; callers then keep the unminimized description.
-_CUBE_BUDGET = 300_000
-
 
 @dataclass(frozen=True)
 class ForbiddenSetSFT:
@@ -144,16 +140,13 @@ def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
 
 
 def sft_to_edge_shift(x: ForbiddenSetSFT) -> tuple[DirectedGraph, dict[int, Word]]:
-    """Edge-shift graph of an SFT whose forbidden words all have one length.
+    """Edge-shift graph of an SFT at its step M.
 
     Returns the essential graph together with a map from edge id to the
-    length-(M+1) word the edge represents.  Mixed-length forbidden sets
-    are rejected; normalize with `to_m_step` first.
+    length-(M+1) word the edge represents.  The forbidden words may have
+    mixed lengths: the graph is the one of `to_m_step(x)`, whose
+    admissible (M+1)-words are those of x, in the same order.
     """
-    if x.forbidden:
-        lengths = {len(w) for w in x.forbidden}
-        if len(lengths) != 1:
-            raise PreconditionError("forbidden words must share one length; call to_m_step first")
     data = _natural_edge_shift(x)
     return data.graph, {e.eid: data.edge_words[e.eid] for e in data.graph.edges}
 
@@ -273,8 +266,8 @@ def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     """Equivalent SFT with a reduced forbidden set.
 
     Keeps only first offenders (non-language words whose proper prefix
-    and suffix are both in the language), then lowers the step as far as
-    a language-count check can certify.
+    and suffix are both in the language): the minimal forbidden set,
+    whose step is the least step of the shift.
     """
     k = x.step
     bsets = _slices_below(set(enumerate_language(x, k + 1)), k + 1)
@@ -296,28 +289,25 @@ def _slices_below(top: set[Word], jmax: int) -> dict[int, set[Word]]:
 
 
 def minimize_from_language(alphabet: Alphabet, bsets: Mapping[int, set[Word]], k: int) -> ForbiddenSetSFT:
-    """Reconstruct a minimal forbidden set from language slices B_0 .. B_{k+1}.
+    """The minimal forbidden set of a k-step shift X, read off its
+    language slices B_0 .. B_{k+1}.
 
-    The language must be that of a k-step shift; equality of candidate
-    and target is certified by counting words of length k + 1, which
-    suffices since containment holds by construction.
+    A word outside the language whose longest proper prefix and suffix
+    are inside it is a minimal forbidden word; those of length at most
+    k + 1 are collected here.  There are no longer ones: a longer word
+    outside the language of a k-step shift has a (k+1)-factor outside it
+    (Lind & Marcus, section 2.1), so it is not minimal.  The minimal
+    forbidden words define X (Crochemore, Mignosi and Restivo, "Automata
+    and forbidden words", IPL 67, 1998).  No forbidden set of X has a
+    lower step: if X is m-step, its minimal forbidden words have length
+    at most m + 1 by the same argument.
     """
-    fmin: list[Word] = []
+    fmin: set[Word] = set()
     for n in range(1, k + 2):
         prev, cur = bsets[n - 1], bsets[n]
-        for u in sorted(prev):
+        for u in prev:
             for s in alphabet:
                 w = u + _word((s,))
-                if w in cur:
-                    continue
-                if w[1:] in prev:
-                    fmin.append(w)
-    target = len(bsets[k + 1])
-    for m2 in range(k + 1):
-        if len(alphabet) ** (m2 + 1) > _CUBE_BUDGET:
-            break
-        f2 = frozenset(w for w in fmin if len(w) <= m2 + 1)
-        candidate = ForbiddenSetSFT(alphabet, f2)
-        if language_count(candidate, k + 1) == target:
-            return candidate
+                if w not in cur and w[1:] in prev:
+                    fmin.add(w)
     return ForbiddenSetSFT(alphabet, frozenset(fmin))

@@ -192,9 +192,10 @@ def minimal_form(s: EventuallyPeriodicGaps) -> EventuallyPeriodicGaps:
 
 
 def classify_type(s: SGapSet) -> Classification:
-    """finite_type / strictly_sofic, bound-qualified for sampled input."""
+    """finite_type / strictly_sofic, bound-qualified for sampled input;
+    the empty exact set raises `InvalidInput`, as in `fe_invariant`."""
     if isinstance(s, (FiniteGaps, EventuallyPeriodicGaps)):
-        m, bound = _exact(s), None
+        m, bound = _as_exact(s), None
     else:
         m, bound = detect_eventual_periodicity(s), s.bound
         if m is None:

@@ -1,13 +1,23 @@
 """Independent brute-force oracles the tests compare library output against.
 
 Everything here works on plain strings and ints, recomputes from first
-principles, and never calls into shiftflow.  Deliberately slow.
+principles, and never calls into shiftflow, except `minimize_by_counting`:
+the library's earlier minimizer, kept as a reference for the one that
+replaced it.  Deliberately slow.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Mapping
+
+from shiftflow.sft import ForbiddenSetSFT, language_count
+from shiftflow.words import Alphabet, Word, _word
+
+# Candidate-graph enumeration is skipped when the raw word cube would
+# exceed this; callers then keep the unminimized description.
+_CUBE_BUDGET = 300_000
 
 
 def _has_factor(word: str, forbidden: list[str]) -> bool:
@@ -301,3 +311,31 @@ def word_contraction_language(symbols: list[str], forbidden: list[str], w: str, 
                 )
                 found |= {image[i : i + n] for i in range(len(image) - n + 1)}
     return sorted(found)
+
+
+def minimize_by_counting(alphabet: Alphabet, bsets: Mapping[int, set[Word]], k: int) -> ForbiddenSetSFT:
+    """Reconstruct a minimal forbidden set from language slices B_0 .. B_{k+1}.
+
+    The language must be that of a k-step shift; equality of candidate
+    and target is certified by counting words of length k + 1, which
+    suffices since containment holds by construction.
+    """
+    fmin: list[Word] = []
+    for n in range(1, k + 2):
+        prev, cur = bsets[n - 1], bsets[n]
+        for u in sorted(prev):
+            for s in alphabet:
+                w = u + _word((s,))
+                if w in cur:
+                    continue
+                if w[1:] in prev:
+                    fmin.append(w)
+    target = len(bsets[k + 1])
+    for m2 in range(k + 1):
+        if len(alphabet) ** (m2 + 1) > _CUBE_BUDGET:
+            break
+        f2 = frozenset(w for w in fmin if len(w) <= m2 + 1)
+        candidate = ForbiddenSetSFT(alphabet, f2)
+        if language_count(candidate, k + 1) == target:
+            return candidate
+    return ForbiddenSetSFT(alphabet, frozenset(fmin))

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from shiftflow import to_m_step
 from shiftflow.cli import main
+from shiftflow.jsonio import dumps, parse_sft, sft_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GM = '{"alphabet":["0","1"],"forbidden":["11"]}'
@@ -72,6 +74,27 @@ def test_graph_edge_shift(capsys):
         '{"from":"0","to":"1","label":"01"},'
         '{"from":"1","to":"0","label":"10"}]}\n'
     )
+
+
+def test_graph_edge_shift_of_mixed_lengths_is_that_of_to_m_step(capsys):
+    doc = '{"alphabet":["0","1"],"forbidden":["11","000"]}'
+    code, out, err = run(capsys, ["graph", "edge-shift", doc])
+    assert (code, err) == (0, "")
+    normal = dumps(sft_json(to_m_step(parse_sft(json.loads(doc)))))
+    assert '"11"' not in normal
+    assert run(capsys, ["graph", "edge-shift", normal]) == (0, out, "")
+
+
+def test_graph_edge_shift_refuses_clashing_names(capsys):
+    code, out, err = run(capsys, ["graph", "edge-shift", '{"alphabet":["a","aa"],"forbidden":[["a","a","a"]]}'])
+    assert (code, out) == (2, "")
+    assert err == 'error: vertex name clash: blocks ["a","aa"] and ["aa","a"] both print as "aaa"\n'
+    code, out, err = run(capsys, ["graph", "edge-shift", '{"alphabet":["a","aa"],"forbidden":[["a","a"]]}'])
+    assert (code, out) == (2, "")
+    assert err == 'error: edge label clash: blocks ["a","aa"] and ["aa","a"] both print as "aaa"\n'
+    code, out, _ = run(capsys, ["graph", "edge-shift", '{"alphabet":["◇2","0"],"forbidden":[["◇2","◇2"]]}'])
+    assert code == 0
+    assert json.loads(out)["vertices"] == ["0", "◇2"]
 
 
 def test_presentation_minimize(capsys):
@@ -197,6 +220,8 @@ def test_sgap_classify(capsys):
     code, out, _ = run(capsys, ["sgap", "classify", evens])
     assert code == 3
     assert out == '{"type":"strictly_sofic","bound":100}\n'
+    empty = '{"kind":"eventually_periodic","R":[],"T":[],"N":3}'
+    assert run(capsys, ["sgap", "classify", empty]) == (2, "", "error: empty gap set\n")
 
 
 def test_sgap_fe_equal(capsys):

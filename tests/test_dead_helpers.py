@@ -1,8 +1,9 @@
 """Every private helper in src/shiftflow is used somewhere in src/shiftflow.
 
-A `def _name` or `class _Name` counts as used when a `Name` or an
-`Attribute` with that name appears in the package outside the helper's
-own definition.  Uses from tests alone do not count.
+A `def _name`, a `class _Name` or a module-level `_NAME = ...` counts as
+used when a `Name` or an `Attribute` with that name appears in the
+package outside the helper's own definition.  Uses from tests alone do
+not count.
 """
 from __future__ import annotations
 
@@ -16,15 +17,36 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _module_constants(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, statement) for each name a top-level assignment binds."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        out += [(t.id, node) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return out
+
+
 def test_no_unused_private_helpers():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     assert "presentations.py" in trees
     defs = [
-        (module, node)
+        (module, node.name, node)
         for module, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _is_private(node.name)
     ]
+    defs += [
+        (module, name, node)
+        for module, tree in trees.items()
+        for name, node in _module_constants(tree)
+        if _is_private(name)
+    ]
+    assert any(name == "_PARSERS" for _, name, _ in defs)
     refs: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -33,8 +55,8 @@ def test_no_unused_private_helpers():
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append(node)
     unused = []
-    for module, node in defs:
+    for module, name, node in defs:
         own = {id(n) for n in ast.walk(node)}
-        if not any(id(ref) not in own for ref in refs.get(node.name, [])):
-            unused.append(f"{module}:{node.lineno} {node.name}")
+        if not any(id(ref) not in own for ref in refs.get(name, [])):
+            unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, "private helpers nothing in src/shiftflow uses: " + ", ".join(unused)

@@ -19,9 +19,10 @@ from shiftflow import (
     simplify,
     to_m_step,
 )
+from shiftflow.jsonio import dumps, sft_json
 from shiftflow.sft import minimize_from_language
 
-from .oracles import language_by_padding, language_by_pruning
+from .oracles import language_by_padding, language_by_pruning, minimize_by_counting
 
 GOLDEN_MEAN = sft(["0", "1"], ["11"])
 
@@ -152,11 +153,24 @@ def test_empty_shift_detected():
 
 
 def test_simplify_drops_subsumed_words():
+    """simplify keeps the minimal forbidden words, which is what the
+    count-certified minimizer finds, on random SFTs too."""
     x = sft(["0", "1"], ["11", "110"])
     y = simplify(x)
     assert y.sorted_forbidden() == [Word("11")]
     for n in range(1, 7):
         assert enumerate_language(x, n) == enumerate_language(y, n)
+    rng = random.Random(13)
+    for _ in range(300):
+        symbols = ["0", "1", "2"][: rng.randint(2, 3)]
+        forbidden = sorted({"".join(rng.choices(symbols, k=rng.randint(1, 4))) for _ in range(rng.randint(0, 5))})
+        x = sft(symbols, forbidden)
+        y = simplify(x)
+        k = x.step
+        bsets = {n: set(enumerate_language(x, n)) for n in range(k + 2)}
+        assert dumps(sft_json(y)) == dumps(sft_json(minimize_by_counting(x.alphabet, bsets, k))), forbidden
+        for n in range(1, k + 3):
+            assert enumerate_language(x, n) == enumerate_language(y, n), forbidden
 
 
 def test_minimize_from_language_recovers_golden_mean():

@@ -34,7 +34,7 @@ from shiftflow import (
 from shiftflow import moves
 from shiftflow.jsonio import dumps, sft_json
 
-from .oracles import slices_by_all_factors, word_contraction_language
+from .oracles import minimize_by_counting, slices_by_all_factors, word_contraction_language
 
 GOLDEN_MEAN = sft(["0", "1"], ["11"])
 # gap lengths 1 or 2 between consecutive 1s
@@ -431,7 +431,8 @@ def test_moves_preserve_zero_entropy():
 
 def test_language_slices_match_all_factors_oracle(monkeypatch):
     """The slices each move image is minimized from equal the all-factors
-    slices of its top slice, and both give the same forbidden set.
+    slices of its top slice, and both give the same forbidden set, which
+    is also the one the count-certified minimizer finds.
 
     Top slices of image languages are right-extendable, so their prefixes
     alone already give every slice; halves of them are not, which makes
@@ -455,7 +456,9 @@ def test_language_slices_match_all_factors_oracle(monkeypatch):
         top = bsets[jmax]
         oracle = {0: {Word()}, jmax: top, **slices_by_all_factors(top, jmax)}
         assert bsets == oracle
-        assert dumps(sft_json(minimize(alphabet, bsets, k))) == dumps(sft_json(minimize(alphabet, oracle, k)))
+        got = dumps(sft_json(minimize(alphabet, bsets, k)))
+        assert got == dumps(sft_json(minimize(alphabet, oracle, k)))
+        assert got == dumps(sft_json(minimize_by_counting(alphabet, bsets, k)))
         half = set(rng.sample(sorted(top), (len(top) + 1) // 2))
         assert moves._slices_below(half, jmax) == {0: {Word()}, jmax: half, **slices_by_all_factors(half, jmax)}
 

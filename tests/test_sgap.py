@@ -114,6 +114,12 @@ def test_classify_type():
     assert classify_type(EventuallyPeriodicGaps((), (2, 3), 2)) == Classification(
         "finite_type"
     )
+    # the empty set forbids 1 0^k 1 for every k: refused by every entry point
+    empty = EventuallyPeriodicGaps((), (), 3)
+    for entry in (classify_type, fe_invariant, lambda s: forbidden_words(s, 5)):
+        with pytest.raises(InvalidInput, match="empty gap set"):
+            entry(empty)
+    assert classify_type(SampledGaps((), 10)) == Classification("finite_type", bound=10)
 
 
 def test_classify_sampled():
