@@ -10,7 +10,7 @@ from .errors import InvalidInput, NonConvergenceError
 from .graphs import DirectedGraph, from_adjacency, path_count
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, determinize
-from .sft import ForbiddenSetSFT, _natural_edge_shift, contains_word, language_count
+from .sft import ForbiddenSetSFT, _natural_edge_shift, _short_words, language_count
 from .words import Word
 
 
@@ -131,14 +131,11 @@ def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int)
     """Whether every {a, b}-word of the given length is in the language."""
     data = _natural_edge_shift(x)
     m = data.step
-    if m >= length:
-        from itertools import product
-
-        return all(contains_word(x, Word(p)) for p in product((a, b), repeat=length))
     pair = {a, b}
+    if length <= m:
+        pair_words = [w for w in _short_words(data, length) if all(s in pair for s in w)]
+        return len(pair_words) == 2**length
     sub_edges = [e for e in data.graph.edges if all(s in pair for s in data.edge_words[e.eid])]
-    if not sub_edges and length > m:
-        return False
     endpoints = sorted({e.src for e in sub_edges} | {e.dst for e in sub_edges})
     sub = DirectedGraph(tuple(endpoints), tuple(sub_edges))
     return path_count(sub, length - m) == 2**length

@@ -133,17 +133,6 @@ def _image(
     return minimize_from_language(alpha, _slices_below(found, jmax), k)
 
 
-def prune_dead_symbols(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
-    """Drop alphabet symbols that occur in no point, and with them every
-    forbidden word that mentions one (those constraints are vacuous)."""
-    live = tuple(s for s in x.alphabet if contains_word(x, Word([s])))
-    if len(live) == len(x.alphabet):
-        return x
-    keep = set(live)
-    forbidden = frozenset(w for w in x.forbidden if all(s in keep for s in w))
-    return ForbiddenSetSFT(Alphabet(live), forbidden)
-
-
 def _check_pair_condition(x: ForbiddenSetSFT, anchor: str, removed: str) -> None:
     for u in sorted(set(enumerate_language(x, 2))):
         if u[0] == anchor and u[1] != removed:
@@ -161,13 +150,20 @@ def symbol_contract(x: ForbiddenSetSFT, symbol: str, removed: str) -> tuple[Forb
 
     Requires the two-sided condition: `removed` occurs exactly after
     `symbol`, and `symbol` is always followed by `removed`.
+
+    The image is m-step, m the step of x.  Let psi insert `removed` after
+    each `symbol`; under the condition, a point y is in the image iff
+    psi(y) is in x.  Take a forbidden word f of x that occurs in psi(y).
+    Each symbol of y puts at least one symbol into f, so f lies inside
+    psi(u) for some factor u of y with |u| <= |f| <= m + 1.  So the image
+    is cut out by words of length at most m + 1.
     """
     if symbol not in x.alphabet or removed not in x.alphabet:
         raise InvalidInput("both symbols must be in the alphabet")
     if symbol == removed:
         raise PreconditionError("anchor and removed symbol must differ")
     _check_pair_condition(x, symbol, removed)
-    y = _image(x, lambda u: None if u[0] == removed else u[0], 1, 2 * x.step + 1, x.alphabet.without(removed))
+    y = _image(x, lambda u: None if u[0] == removed else u[0], 1, x.step, x.alphabet.without(removed))
     return y, SymbolContraction(symbol, removed)
 
 

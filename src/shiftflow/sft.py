@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .graphs import DirectedGraph, Edge, path_count
@@ -35,7 +35,7 @@ class ForbiddenSetSFT:
     @property
     def step(self) -> int:
         """Memory: longest forbidden word length minus one, 0 when none."""
-        return max((len(w) for w in self.forbidden), default=1) - 1 if self.forbidden else 0
+        return max((len(w) for w in self.forbidden), default=1) - 1
 
     def sorted_forbidden(self) -> list[Word]:
         return sorted(self.forbidden)
@@ -62,26 +62,19 @@ def _forbidden_by_length(forbidden: frozenset[Word]) -> dict[int, set[Word]]:
     return table
 
 
-def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> Iterator[Word]:
+def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> list[Word]:
     """All length-n words with no forbidden factor, lexicographic order.
 
-    Depth-first with suffix pruning, so dead prefixes are abandoned early.
+    Grown one length at a time: a word is kept when no forbidden word is
+    a suffix of it, so dead prefixes are dropped as soon as they appear.
+    Extending each word by the alphabet in order keeps the order.
     """
     by_len = _forbidden_by_length(forbidden)
-    lengths = sorted(by_len)
-
-    def extend(prefix: Word) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for s in alphabet:
-            w = prefix + _word((s,))
-            k = len(w)
-            if any(ln <= k and w[k - ln :] in by_len[ln] for ln in lengths):
-                continue
-            yield from extend(w)
-
-    yield from extend(EMPTY_WORD)
+    words = [EMPTY_WORD]
+    for k in range(1, n + 1):
+        longer = (u + _word((s,)) for u in words for s in alphabet)
+        words = [w for w in longer if not any(ln <= k and w[k - ln :] in bad for ln, bad in by_len.items())]
+    return words
 
 
 class EdgeShiftData(NamedTuple):
@@ -100,7 +93,7 @@ class EdgeShiftData(NamedTuple):
 
 @lru_cache(maxsize=512)
 def _edge_shift(x: ForbiddenSetSFT, m: int) -> EdgeShiftData:
-    words = list(_admissible_words(x.alphabet, x.forbidden, m + 1))
+    words = _admissible_words(x.alphabet, x.forbidden, m + 1)
     vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
     edges = tuple(Edge(w[:m], w[1:], i) for i, w in enumerate(words))
     graph = DirectedGraph(tuple(vertices), edges).essential_part()
@@ -151,35 +144,32 @@ def sft_to_edge_shift(x: ForbiddenSetSFT) -> tuple[DirectedGraph, dict[int, Word
     return data.graph, {e.eid: data.edge_words[e.eid] for e in data.graph.edges}
 
 
+def _short_words(data: EdgeShiftData, n: int) -> set[Word]:
+    """The length-n words of the language for n at most the step: the
+    length-n factors of the vertex words, which are its step-length words."""
+    return {f for v in data.graph.vertices for f in v.factors(n)}
+
+
 def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
     """Sorted list of the length-n words occurring in points of the shift.
 
     Length 0 always yields the empty word, even for the empty shift.
+    Words longer than the step grow from the vertex words along out-edges.
     """
     if n < 0:
         raise InvalidInput("word length must be nonnegative")
     if n == 0:
         return [EMPTY_WORD]
     data = _natural_edge_shift(x)
-    if not data.graph.vertices:
-        return []
     m = data.step
     if n <= m:
-        found = {f for v in data.graph.vertices for f in Word(v).factors(n)}
-        return sorted(found)
-    result: list[Word] = []
-    k = n - m
-
-    def walk(prefix: Word, v: Word, remaining: int) -> None:
-        if remaining == 0:
-            result.append(prefix)
-            return
-        for e in data.graph.out_edges(v):
-            walk(prefix + _word((data.edge_words[e.eid][-1],)), e.dst, remaining - 1)
-
-    for v in data.graph.vertices:
-        walk(Word(v), v, k)
-    return sorted(result)
+        return sorted(_short_words(data, n))
+    paths = [(v, v) for v in data.graph.vertices]
+    for _ in range(n - m):
+        paths = [
+            (w + _word((data.edge_words[e.eid][-1],)), e.dst) for w, v in paths for e in data.graph.out_edges(v)
+        ]
+    return sorted(w for w, _ in paths)
 
 
 def language_count(x: ForbiddenSetSFT, n: int) -> int:
@@ -189,11 +179,9 @@ def language_count(x: ForbiddenSetSFT, n: int) -> int:
     if n == 0:
         return 1
     data = _natural_edge_shift(x)
-    if not data.graph.vertices:
-        return 0
     m = data.step
     if n <= m:
-        return len({f for v in data.graph.vertices for f in Word(v).factors(n)})
+        return len(_short_words(data, n))
     return path_count(data.graph, n - m)
 
 
@@ -221,11 +209,9 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
     if any(s not in x.alphabet for s in w):
         return False
     data = _natural_edge_shift(x)
-    if not data.graph.vertices:
-        return False
     m = data.step
     if len(w) <= m:
-        return any(w in set(Word(v).factors(len(w))) for v in data.graph.vertices)
+        return w in _short_words(data, len(w))
     return all(f in data.live_words for f in w.factors(m + 1))
 
 
@@ -270,7 +256,7 @@ def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     whose step is the least step of the shift.
     """
     k = x.step
-    bsets = _slices_below(set(enumerate_language(x, k + 1)), k + 1)
+    bsets = _slices_below(set(_natural_edge_shift(x).live_words), k + 1)
     return minimize_from_language(x.alphabet, bsets, k)
 
 

@@ -1,4 +1,5 @@
-"""Every private helper in src/shiftflow is used somewhere in src/shiftflow.
+"""Every private helper in src/shiftflow is used somewhere in src/shiftflow,
+and every exported function is named in some test.
 
 A `def _name`, a `class _Name` or a module-level `_NAME = ...` counts as
 used when a `Name` or an `Attribute` with that name appears in the
@@ -8,9 +9,13 @@ not count.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
+import shiftflow
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "shiftflow"
+TESTS = Path(__file__).resolve().parent
 
 
 def _is_private(name: str) -> bool:
@@ -60,3 +65,21 @@ def test_no_unused_private_helpers():
         if not any(id(ref) not in own for ref in refs.get(name, [])):
             unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, "private helpers nothing in src/shiftflow uses: " + ", ".join(unused)
+
+
+def test_every_exported_function_is_named_in_a_test():
+    """A function in `shiftflow.__all__` counts as tested when a test file
+    imports it or uses it as a `Name` or an `Attribute`."""
+    named: set[str] = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    functions = [name for name in shiftflow.__all__ if inspect.isfunction(getattr(shiftflow, name))]
+    assert "contains_word" in functions
+    untested = [name for name in functions if name not in named]
+    assert not untested, "exported functions no test names: " + ", ".join(untested)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,10 @@ from shiftflow import (
     InvalidInput,
     NonConvergenceError,
     ShiftSpaceError,
+    Word,
+    boost_entropy_construction,
+    boost_entropy_pipeline,
+    contains_word,
     entropy_word_count,
     from_adjacency,
     full_shift,
@@ -220,3 +225,25 @@ def test_sparse_graph_core_matches_dense_oracles():
         aut, _, seed = _subset_automaton(lg.essential_part())
         expected = counts_from_dense(_dense(aut), aut.vertices.index(seed), 12)
         assert _sofic_word_counts(lg, 12) == expected
+
+
+def test_boost_precondition_on_words_shorter_than_the_step():
+    """Target 1 needs every {a, b}-word of length 6; with c^8 forbidden
+    the step is 7, so the precondition reads the vertex words.  `cc` is
+    forbidden too: it leaves the step and the {a, b}-words as they are
+    and keeps the two contractions on the step-7 edge shift near 1 s."""
+    x = sft(["a", "b", "c"], ["cc", "c" * 8])
+    assert x.step == 7
+    assert all(contains_word(x, Word(p)) for p in product("ab", repeat=6))
+    pipe = boost_entropy_pipeline(x, "a", "b", 1)
+    assert [mv.word for mv in pipe.moves] == [Word("baa"), Word("ba")]
+    y = sft(["a", "b", "c"], ["cc", "c" * 8, "ab"])
+    assert y.step == 7
+    assert not all(contains_word(y, Word(p)) for p in product("ab", repeat=6))
+    with pytest.raises(InvalidInput, match="not every"):
+        boost_entropy_pipeline(y, "a", "b", 1)
+
+
+def test_boost_construction_is_the_pipeline_result():
+    x = full_shift(["a", "b"])
+    assert boost_entropy_construction(x, "a", "b", 1) == boost_entropy_pipeline(x, "a", "b", 1).result

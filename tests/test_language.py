@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -72,16 +73,25 @@ def test_language_matches_pruning_oracle():
 
 
 def test_language_matches_random_systems():
+    """Forbidden words up to length 5 put n at or below the step in some
+    cases, where all three queries read the vertex words."""
     rng = random.Random(7)
+    short = 0
     for _ in range(30):
         symbols = ["0", "1"] if rng.random() < 0.7 else ["0", "1", "2"]
         forbidden = sorted({
-            "".join(rng.choice(symbols) for _ in range(rng.randint(1, 3)))
+            "".join(rng.choice(symbols) for _ in range(rng.randint(1, 5)))
             for _ in range(rng.randint(0, 3))
         })
         x = sft(symbols, forbidden)
         n = rng.randint(1, 6)
-        assert [w.text() for w in enumerate_language(x, n)] == language_by_pruning(symbols, forbidden, n)
+        expected = language_by_pruning(symbols, forbidden, n)
+        assert [w.text() for w in enumerate_language(x, n)] == expected
+        assert language_count(x, n) == len(expected)
+        for w in itertools.product(symbols, repeat=n):
+            assert contains_word(x, Word(w)) == ("".join(w) in expected)
+        short += n <= x.step
+    assert short >= 5
 
 
 def test_padding_and_pruning_oracles_agree():

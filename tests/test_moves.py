@@ -16,8 +16,10 @@ from shiftflow import (
     deciding_length_bound,
     enumerate_language,
     full_shift,
+    is_empty,
     is_irreducible,
     is_nonoverlapping,
+    language_count,
     perron_entropy,
     pipeline_apply_periodic,
     pipeline_apply_word,
@@ -111,6 +113,37 @@ def test_symbol_expand_then_contract_is_language_identity():
         z, _ = symbol_contract(y, mv.symbol, mv.fresh)
         for n in range(1, 9):
             assert enumerate_language(z, n) == enumerate_language(x, n), n
+    # Random bases, 1-2 expansions and an optional word contraction first.
+    # The contraction reads words only up to the step of its input, so it
+    # must match the image read up to twice that step.  That reference
+    # walk grows fast with the step, so it runs on inputs of step <= 3;
+    # every case checks the language against the shift before the last
+    # expansion.
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(60):
+        symbols = ["a", "b", "c"][: rng.randint(2, 3)]
+        forbidden = {"".join(rng.choice(symbols) for _ in range(rng.randint(2, 4))) for _ in range(rng.randint(1, 3))}
+        y = sft(symbols, forbidden)
+        if rng.random() < 0.5:
+            try:
+                y, _ = word_contract(y, Word(rng.choice(symbols) for _ in range(2)))
+            except PreconditionError:
+                pass
+        if is_empty(y):
+            continue
+        for _ in range(rng.randint(1, 2)):
+            before = y
+            y, mv = symbol_expand(before, rng.choice(enumerate_language(before, 1))[0])
+        z, _ = symbol_contract(y, mv.symbol, mv.fresh)
+        assert z.step <= y.step
+        for n in range(1, y.step + 2):
+            assert language_count(z, n) == language_count(before, n)
+        if y.step <= 3:
+            rule = lambda u: None if u[0] == mv.fresh else u[0]
+            assert z == moves._image(y, rule, 1, 2 * y.step + 1, y.alphabet.without(mv.fresh))
+            compared += 1
+    assert compared >= 20
 
 
 def test_symbol_contract_word_image():
