@@ -23,7 +23,7 @@ from .sft import (
     enumerate_language,
     minimize_from_language,
 )
-from .words import Alphabet, PeriodicOrbit, Word, _word
+from .words import Alphabet, PeriodicOrbit, Word, _windows, _word
 
 
 @dataclass(frozen=True)
@@ -344,28 +344,31 @@ class MovePipeline:
 
 
 def _move_word(move: Move, v: Word) -> Word:
+    """Image of a finite word under one move, read as plain tuples."""
     if isinstance(move, SymbolExpansion):
+        symbol, fresh = move.symbol, move.fresh
         out: list[str] = []
         for s in v:
             out.append(s)
-            if s == move.symbol:
-                out.append(move.fresh)
-        return Word(out)
+            if s == symbol:
+                out.append(fresh)
+        return _word(out)
     if isinstance(move, SymbolContraction):
-        return Word(s for s in v if s != move.removed)
+        removed = move.removed
+        return _word([s for s in v if s != removed])
     if isinstance(move, WordContraction):
-        w, n = move.word, len(move.word)
+        w, fresh = move.word, move.fresh
         out = []
-        i = 0
-        limit = len(v) - n + 1
-        while i < limit:
-            if v[i : i + n] == w:
-                out.append(move.fresh)
-                i += n
+        skip = 0
+        for f in _windows(v, len(w)):
+            if skip:
+                skip -= 1
+            elif f == w:
+                out.append(fresh)
+                skip = len(w) - 1
             else:
-                out.append(v[i])
-                i += 1
-        return Word(out)
+                out.append(f[0])
+        return _word(out)
     if isinstance(move, Recode):
         return apply_block_map(move.forward_map, v, move.window)
     raise InvalidInput(f"unknown move {move!r}")

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .graphs import DirectedGraph, Edge, path_count
-from .words import EMPTY_WORD, Alphabet, Word, _word
+from .words import EMPTY_WORD, Alphabet, Word, _check_symbols, _windows, _word
 
 
 @dataclass(frozen=True)
@@ -206,13 +206,13 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
     w = _unambiguous_word(word, x.alphabet)
     if len(w) == 0:
         return True
-    if any(s not in x.alphabet for s in w):
+    if not set(w).issubset(x.alphabet.symbols):
         return False
     data = _natural_edge_shift(x)
     m = data.step
     if len(w) <= m:
         return w in _short_words(data, len(w))
-    return all(f in data.live_words for f in w.factors(m + 1))
+    return all(f in data.live_words for f in _windows(w, m + 1))
 
 
 def is_irreducible(x: ForbiddenSetSFT) -> bool:
@@ -241,11 +241,12 @@ def apply_block_map(code: Mapping[Word, str], word: Word, window: int | None = N
     if window < 1:
         raise InvalidInput("window must be at least 1")
     out: list[str] = []
-    for f in w.factors(window):
+    for f in _windows(w, window):
         if f not in code:
-            raise PartialBlockMapError(f"block map undefined on {f!r}", window=tuple(f))
+            raise PartialBlockMapError(f"block map undefined on {_word(f)!r}", window=f)
         out.append(code[f])
-    return Word(out)
+    _check_symbols(out)
+    return _word(out)
 
 
 def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:

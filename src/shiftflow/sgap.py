@@ -278,11 +278,15 @@ def _signed_range(cap: int) -> Iterator[int]:
 
 
 def _as_exact(s: SGapSet) -> EventuallyPeriodicGaps | None:
-    if isinstance(s, (FiniteGaps, EventuallyPeriodicGaps)):
-        m = _exact(s)
-    else:
+    """The exact form of s; for sampled input, the detected description,
+    or None when there is none.  Only exact input can be the empty set:
+    a sampled window with no members says nothing past its bound, so it
+    gets None (and `fe_equal` answers it unknown up to its bound)."""
+    if isinstance(s, SampledGaps):
         m = detect_eventual_periodicity(s)
-    if m is not None and not m.T and not m.R:
+        return m if m is not None and (m.T or m.R) else None
+    m = _exact(s)
+    if not m.T and not m.R:
         raise InvalidInput("empty gap set")
     return m
 
@@ -417,6 +421,9 @@ def fe_equal(s1: SGapSet, s2: SGapSet, search_bound: int = 200) -> FEVerdict:
         assert e1 is not None and e2 is not None
         return _fe_equal_exact(e1, e2, search_bound)
     window = min(s.bound for s in (s1, s2) if isinstance(s, SampledGaps))
+    if any(isinstance(s, SampledGaps) and not s.members for s in (s1, s2)):
+        # no member to translate: any partner matches it by removals alone
+        return FEVerdict("unknown_up_to", bound=window)
     if e1 is not None and e2 is not None:
         verdict = _fe_equal_exact(e1, e2, search_bound)
         if verdict.outcome == "equivalent":

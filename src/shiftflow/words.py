@@ -3,11 +3,20 @@
 A word is a finite tuple of symbols.  Symbols are strings; most are a
 single character, but freshly minted symbols (from splittings and
 contractions) carry longer names, so nothing here assumes length one.
+
+Symbols are checked where outside input becomes a word: in `Word(...)`,
+which hands a `Word` back as it is, and on the output symbols of
+`sft.apply_block_map`.  Slices, concatenations and factors of Words are
+not checked again.  The per-symbol loops over long words in `sft` and
+`moves` (move images, membership, block maps) read the word's windows
+as plain tuples (`_windows`), without copying the word, and wrap each
+result once with `_word`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 
@@ -18,7 +27,7 @@ class Word(tuple):
     string, which is split into single-character symbols.  Symbols are
     checked once, when a word is built from outside input; slices,
     concatenations, powers and factors of Words reuse the checked
-    symbols without checking them again:
+    symbols without checking them again, and a Word is returned as is:
 
     >>> Word("011")
     Word('011')
@@ -31,13 +40,11 @@ class Word(tuple):
     __slots__ = ()
 
     def __new__(cls, symbols: Iterable[str] = ()) -> "Word":
-        if isinstance(symbols, str):
+        if isinstance(symbols, Word):
+            return symbols
+        if not isinstance(symbols, str):
             symbols = tuple(symbols)
-        else:
-            symbols = tuple(symbols)
-            for s in symbols:
-                if not isinstance(s, str) or not s:
-                    raise TypeError(f"symbols must be non-empty strings, got {s!r}")
+            _check_symbols(symbols)
         return super().__new__(cls, symbols)
 
     def __add__(self, other) -> "Word":
@@ -65,9 +72,9 @@ class Word(tuple):
 
     def factors(self, n: int) -> Iterator["Word"]:
         """All length-n factors, left to right, with repeats."""
-        t = tuple(self)
-        for k in range(len(self) - n + 1):
-            yield _word(t[k : k + n])
+        if n == 0:
+            return iter([EMPTY_WORD] * (len(self) + 1))
+        return map(_word, _windows(self, n))
 
     def text(self) -> str:
         """Concatenated symbols.  Only faithful when symbols have length 1."""
@@ -79,7 +86,19 @@ class Word(tuple):
         return f"Word({list(self)!r})"
 
 
-def _word(symbols: tuple[str, ...]) -> Word:
+def _check_symbols(symbols: Iterable[str]) -> None:
+    for s in symbols:
+        if not isinstance(s, str) or not s:
+            raise TypeError(f"symbols must be non-empty strings, got {s!r}")
+
+
+def _windows(w: Word, n: int) -> Iterator[tuple[str, ...]]:
+    """The length-n factors of w (n >= 1) as plain tuples, left to right,
+    read without copying w."""
+    return zip(*(islice(w, j, None) for j in range(n)))
+
+
+def _word(symbols: Iterable[str]) -> Word:
     """A Word over symbols already checked, taken from a Word or an Alphabet."""
     return tuple.__new__(Word, symbols)
 

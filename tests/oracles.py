@@ -1,9 +1,12 @@
 """Independent brute-force oracles the tests compare library output against.
 
 Everything here works on plain strings and ints, recomputes from first
-principles, and never calls into shiftflow, except `minimize_by_counting`:
-the library's earlier minimizer, kept as a reference for the one that
-replaced it.  Deliberately slow.
+principles, and never calls into shiftflow, except the library's earlier
+implementations kept as references for the ones that replaced them:
+`minimize_by_counting`, and the Word-based finite-word paths
+`move_word_by_slices`, `contains_word_by_factors` and
+`apply_block_map_by_factors`, which index and slice `Word`s symbol by
+symbol.  Deliberately slow.
 """
 from __future__ import annotations
 
@@ -12,7 +15,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from shiftflow.sft import ForbiddenSetSFT, language_count
+from shiftflow.errors import InvalidInput, PartialBlockMapError
+from shiftflow.moves import Move, Recode, SymbolContraction, SymbolExpansion, WordContraction
+from shiftflow.sft import (
+    ForbiddenSetSFT,
+    _natural_edge_shift,
+    _short_words,
+    _unambiguous_word,
+    language_count,
+)
 from shiftflow.words import Alphabet, Word, _word
 
 # Candidate-graph enumeration is skipped when the raw word cube would
@@ -339,3 +350,64 @@ def minimize_by_counting(alphabet: Alphabet, bsets: Mapping[int, set[Word]], k: 
         if language_count(candidate, k + 1) == target:
             return candidate
     return ForbiddenSetSFT(alphabet, frozenset(fmin))
+
+
+def move_word_by_slices(move: Move, v: Word) -> Word:
+    """Image of a finite word under one move, on Word slices."""
+    if isinstance(move, SymbolExpansion):
+        out: list[str] = []
+        for s in v:
+            out.append(s)
+            if s == move.symbol:
+                out.append(move.fresh)
+        return Word(out)
+    if isinstance(move, SymbolContraction):
+        return Word(s for s in v if s != move.removed)
+    if isinstance(move, WordContraction):
+        w, n = move.word, len(move.word)
+        out = []
+        i = 0
+        limit = len(v) - n + 1
+        while i < limit:
+            if v[i : i + n] == w:
+                out.append(move.fresh)
+                i += n
+            else:
+                out.append(v[i])
+                i += 1
+        return Word(out)
+    if isinstance(move, Recode):
+        return apply_block_map_by_factors(move.forward_map, v, move.window)
+    raise InvalidInput(f"unknown move {move!r}")
+
+
+def contains_word_by_factors(x: ForbiddenSetSFT, word: Word | str) -> bool:
+    """Membership of a finite word in the language, on Word factors."""
+    w = _unambiguous_word(word, x.alphabet)
+    if len(w) == 0:
+        return True
+    if any(s not in x.alphabet for s in w):
+        return False
+    data = _natural_edge_shift(x)
+    m = data.step
+    if len(w) <= m:
+        return w in _short_words(data, len(w))
+    return all(f in data.live_words for f in w.factors(m + 1))
+
+
+def apply_block_map_by_factors(code: Mapping[Word, str], word: Word, window: int | None = None) -> Word:
+    """A sliding block map over a finite word, on Word factors."""
+    w = Word(word)
+    if window is None:
+        widths = {len(k) for k in code}
+        if len(widths) != 1:
+            raise InvalidInput("block map keys must share one length")
+        window = widths.pop()
+    if window < 1:
+        raise InvalidInput("window must be at least 1")
+    out: list[str] = []
+    for f in w.factors(window):
+        if f not in code:
+            raise PartialBlockMapError(f"block map undefined on {f!r}", window=tuple(f))
+        out.append(code[f])
+    return Word(out)

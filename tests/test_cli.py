@@ -244,6 +244,17 @@ def test_sgap_fe_equal_reports_window_bound(capsys):
     assert doc["bound"] == 90
 
 
+def test_sgap_fe_equal_of_an_empty_window(capsys):
+    empty = '{"kind":"sampled","members":[],"bound":10}'
+    code, out, err = run(capsys, ["sgap", "fe-equal", empty, '{"kind":"finite","elements":[1]}'])
+    assert (code, out, err) == (3, '{"outcome":"unknown_up_to","bound":10}\n', "")
+    evens = '{"kind":"eventually_periodic","R":[],"T":[0],"N":2}'
+    code, out, err = run(capsys, ["sgap", "fe-equal", "--bound", "2", empty, evens])
+    assert (code, out, err) == (3, '{"outcome":"unknown_up_to","bound":10}\n', "")
+    code, out, err = run(capsys, ["sgap", "fe-equal", empty, '{"kind":"eventually_periodic","R":[],"T":[],"N":3}'])
+    assert (code, out, err) == (2, "", "error: empty gap set\n")
+
+
 def test_validate(capsys):
     code, out, _ = run(capsys, ["validate", GM])
     assert code == 0

@@ -278,6 +278,22 @@ def test_fe_equal_window_too_small():
     assert v.bound == 3
 
 
+def test_fe_equal_empty_sampled_window_is_unknown_up_to_its_bound():
+    """Members above the bound are unknown, so a window with none is
+    valid input; it has nothing to translate, so removals alone would
+    match it to any partner, and it confirms no verdict.  Only an exact
+    empty set is refused."""
+    empty = SampledGaps((), 10)
+    for partner in (EVENS, ODDS, FiniteGaps((1,)), FiniteGaps((9,)), SampledGaps((0, 2, 4), 30)):
+        for bound in (2, 200):
+            assert fe_equal(empty, partner, bound) == FEVerdict("unknown_up_to", bound=10)
+            assert fe_equal(partner, empty, bound) == FEVerdict("unknown_up_to", bound=10)
+    assert fe_equal(empty, SampledGaps((), 3)) == FEVerdict("unknown_up_to", bound=3)
+    assert fe_equal(empty, empty) == FEVerdict("unknown_up_to", bound=10)
+    with pytest.raises(InvalidInput, match="empty gap set"):
+        fe_equal(empty, EventuallyPeriodicGaps((), (), 3))
+
+
 def test_fe_equal_rejects_bad_bound():
     with pytest.raises(InvalidInput):
         fe_equal(EVENS, ODDS, 0)

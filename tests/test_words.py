@@ -9,6 +9,9 @@ from shiftflow import (
     PeriodicOrbit,
     Word,
     apply_block_map,
+    contains_word,
+    enumerate_language,
+    sft,
 )
 
 assert issubclass(InvalidInput, ValueError)
@@ -66,11 +69,38 @@ def test_factors():
     fs = set(w.factors(2))
     assert fs == {Word("ab"), Word("ba")}
     assert list(w.factors(4)) == []
+    assert list(w.factors(0)) == [Word()] * 4
 
 
 def test_empty_word_rejected_by_symbol_validation():
     with pytest.raises(TypeError):
         Word([""])
+
+
+def test_word_of_a_word_is_the_word_itself():
+    for w in (Word("011"), Word(["0", "◇2", "0.1"]), Word()):
+        assert Word(w) is w
+
+
+@pytest.mark.parametrize("bad", [[""], ("0", ""), [1], ("0", 1), [None], ("0", b"1"), [("0",)]])
+def test_lists_and_tuples_of_non_symbols_are_refused(bad):
+    with pytest.raises(TypeError):
+        Word(bad)
+
+
+def test_plain_string_is_refused_over_multi_character_symbols():
+    x = sft(["0", "0.1"], [])
+    with pytest.raises(InvalidInput, match="ambiguous"):
+        contains_word(x, "00")
+    assert contains_word(x, Word(["0", "0.1"]))
+
+
+def test_enumerate_language_returns_strictly_sorted_words():
+    x = sft(["0", "◇2", "0.1"], [["◇2", "◇2"], ["0.1", "0", "◇2"]])
+    for n in range(0, x.step + 4):
+        words = enumerate_language(x, n)
+        assert all(type(w) is Word for w in words)
+        assert all(a < b for a, b in zip(words, words[1:]))
 
 
 def test_alphabet_requires_distinct_symbols():
@@ -132,6 +162,20 @@ def test_apply_block_map_partial_raises_with_window():
     with pytest.raises(PartialBlockMapError) as exc:
         apply_block_map(code, Word("01"))
     assert exc.value.window == ("0", "1")
+
+
+@pytest.mark.parametrize("bad", ["", 1, None, ["b"]])
+def test_apply_block_map_refuses_non_symbol_outputs(bad):
+    code = {Word("0"): "a", Word("1"): bad}
+    with pytest.raises(TypeError, match=r"^symbols must be non-empty strings, got "):
+        apply_block_map(code, Word("001"))
+
+
+def test_apply_block_map_names_the_first_bad_output():
+    code = {Word("0"): None, Word("1"): 1, Word("2"): "c"}
+    for word, first in (("012", "None"), ("210", "1")):
+        with pytest.raises(TypeError, match=f"got {first}$"):
+            apply_block_map(code, Word(word))
 
 
 def test_apply_block_map_short_word_maps_to_empty():
