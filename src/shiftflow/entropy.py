@@ -10,7 +10,7 @@ from .errors import InvalidInput, NonConvergenceError
 from .graphs import DirectedGraph, from_adjacency, path_count
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, determinize
-from .sft import ForbiddenSetSFT, _natural_edge_shift, _short_words, language_count
+from .sft import ForbiddenSetSFT, _edge_shift, _short_words, language_count
 from .words import Word
 
 
@@ -24,7 +24,7 @@ class EntropyEstimate:
 
 def _as_graph(obj) -> DirectedGraph:
     if isinstance(obj, ForbiddenSetSFT):
-        return _natural_edge_shift(obj).graph
+        return _edge_shift(obj).graph
     if isinstance(obj, DirectedGraph):
         return obj
     if isinstance(obj, LabeledGraph):
@@ -129,8 +129,8 @@ def scale_entropy_construction(obj, n: int) -> DirectedGraph:
 
 def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int) -> bool:
     """Whether every {a, b}-word of the given length is in the language."""
-    data = _natural_edge_shift(x)
-    m = data.step
+    data = _edge_shift(x)
+    m = x.step
     pair = {a, b}
     if length <= m:
         pair_words = [w for w in _short_words(data, length) if all(s in pair for s in w)]

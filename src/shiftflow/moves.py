@@ -8,7 +8,7 @@ Move functions return (image shift, move record).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -94,43 +94,77 @@ def symbol_expand(x: ForbiddenSetSFT, symbol: str) -> tuple[ForbiddenSetSFT, Sym
     return ForbiddenSetSFT(new_alpha, frozenset(forbidden)), move
 
 
-def _image(
-    x: ForbiddenSetSFT,
-    rule: Callable[[Word], str | None],
-    window: int,
-    k: int,
-    alphabet: Alphabet,
-) -> ForbiddenSetSFT:
-    """Image of x under a sliding block code whose output is one symbol
-    or nothing, as a k-step SFT over the symbols of `alphabet` that occur.
+def _transducer(move: Move) -> tuple[Callable[[object, str], tuple[object, tuple[str, ...]]], object, int]:
+    """The move as one left-to-right rule (step, start, burn):
+    `step(state, symbol)` returns the next state and the symbols written.
 
-    `rule` sees the last `window` symbols of a live edge of the edge
-    shift (Lind & Marcus, sections 1.5 and 2.3) and names the image
-    symbol written there, or None for a deleted position.  A walk from
-    every vertex, deduplicated on (vertex, image so far), collects the
-    image words of length k + 1; k must be at least the step of the image.
+    A word contraction of w (length n) holds back a partial match w[:q]
+    and keeps q, as in Knuth, Morris and Pratt (SIAM J. Comput. 6, 1977),
+    reset after each match.  Every other move holds the last window - 1
+    symbols and writes the `_move_word` image of each window.
+
+    Burn-in: started in `start` at any position s of a point, the rule
+    holds what a run from the far left holds once both have read `burn`
+    symbols past s.  For w, a run holds the longest suffix since its last
+    match that is a proper prefix of w.  Occurrences of w never overlap,
+    so both runs match every occurrence they read, and their last matches
+    differ only if the last occurrence began at or before s; both then end
+    before s + n (the late run counts s as a match end).  After 2n - 2
+    symbols both runs hold that suffix of the last n - 1 symbols.
     """
-    data = _edge_shift(x, max(x.step, window - 1))
-    out = {e.eid: rule(data.edge_words[e.eid][-window:]) for e in data.graph.edges}
-    out_edges = data.graph.out_edges
-    jmax = k + 1
+    if isinstance(move, WordContraction):
+        w, fresh = tuple(move.word), move.fresh
+
+        @cache
+        def match(q: int, s: str) -> tuple[int, tuple[str, ...]]:
+            held = w[:q] + (s,)
+            if held == w:
+                return 0, (fresh,)
+            r = next(r for r in range(q + 2) if held[r:] == w[: q + 1 - r])
+            return q + 1 - r, held[:r]
+
+        return match, 0, 2 * len(w) - 2
+    width = max(_memory_weight(move), 1)
+
+    @cache
+    def slide(held: tuple[str, ...], s: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        u = held + (s,)
+        return (u, ()) if len(u) < width else (u[1:], tuple(_move_word(move, u)))
+
+    return slide, (), width - 1
+
+
+def _image(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> ForbiddenSetSFT:
+    """Image of x under a move, as a k-step SFT over the symbols of
+    `alphabet` that occur; k must be at least the step of the image.
+
+    The move's rule runs along the edge shift of x (Lind & Marcus, 1.5
+    and 2.3) from every (vertex, state) reached after its burn-in.  A walk
+    deduplicated on (vertex, state, last k symbols written) collects each
+    length-(k + 1) window of what it writes.
+    """
+    step, start, burn = _transducer(move)
+    data = _edge_shift(x)
+    succ = {v: [(e.dst, data.edge_words[e.eid][-1]) for e in data.graph.out_edges(v)] for v in data.graph.vertices}
+    runs = {(v, start) for v in succ}
+    for _ in range(burn):
+        runs = {(dst, step(q, s)[0]) for v, q in runs for dst, s in succ[v]}
     found: set[Word] = set()
-    stack: list[tuple[Word, tuple[str, ...]]] = [(v, ()) for v in data.graph.vertices]
+    stack = [(v, q, ()) for v, q in runs]
     seen = set(stack)
     while stack:
-        vtx, image = stack.pop()
-        if len(image) == jmax:
-            found.add(_word(image))
-            continue
-        for e in out_edges(vtx):
-            s = out[e.eid]
-            state = (e.dst, image if s is None else image + (s,))
+        vtx, q, tail = stack.pop()
+        for dst, s in succ[vtx]:
+            q2, chunk = step(q, s)
+            written = tail + chunk
+            found.update(_word(written[i : i + k + 1]) for i in range(len(written) - k))
+            state = (dst, q2, written[max(len(written) - k, 0) :])
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
     live = {s for w in found for s in w}
     alpha = Alphabet(tuple(s for s in alphabet if s in live))
-    return minimize_from_language(alpha, _slices_below(found, jmax), k)
+    return minimize_from_language(alpha, _slices_below(found, k + 1), k)
 
 
 def _check_pair_condition(x: ForbiddenSetSFT, anchor: str, removed: str) -> None:
@@ -163,8 +197,8 @@ def symbol_contract(x: ForbiddenSetSFT, symbol: str, removed: str) -> tuple[Forb
     if symbol == removed:
         raise PreconditionError("anchor and removed symbol must differ")
     _check_pair_condition(x, symbol, removed)
-    y = _image(x, lambda u: None if u[0] == removed else u[0], 1, x.step, x.alphabet.without(removed))
-    return y, SymbolContraction(symbol, removed)
+    move = SymbolContraction(symbol, removed)
+    return _image(x, move, x.step, x.alphabet.without(removed)), move
 
 
 def is_nonoverlapping(w: Word) -> bool:
@@ -209,11 +243,10 @@ def word_contract(x: ForbiddenSetSFT, word: Word | str) -> tuple[ForbiddenSetSFT
     point.  One-symbol words reduce to a renaming.  A plain string is
     refused when the alphabet has a multi-character symbol.
 
-    The image is a sliding block code of window 2n - 1 (n = len(w)) that
-    writes the fresh symbol where an occurrence of w starts, nothing
-    inside one, and the symbol itself elsewhere.  Its step is at most
-    max(m, n - 1), m the step of x.  Let psi substitute w back for the
-    fresh symbol.  A point y is in the image iff
+    The image writes the fresh symbol for each occurrence of w and keeps
+    every other symbol (`_transducer`).  With n = len(w), its step is at
+    most max(m, n - 1), m the step of x.  Let psi substitute w back for
+    the fresh symbol.  A point y is in the image iff
     - psi(y) has no forbidden factor of x; each such factor has at most
       m + 1 symbols, so it lies inside psi of at most m + 1 symbols of y;
     - every occurrence of w in psi(y) is the expansion of one fresh
@@ -240,15 +273,7 @@ def word_contract(x: ForbiddenSetSFT, word: Word | str) -> tuple[ForbiddenSetSFT
         alpha = Alphabet(tuple(fresh if s == old else s for s in x.alphabet.symbols))
         forbidden = frozenset(Word(fresh if s == old else s for s in f) for f in x.forbidden)
         return ForbiddenSetSFT(alpha, forbidden), move
-
-    def rule(u: Word) -> str | None:
-        if u[n - 1 :] == w:
-            return fresh
-        if any(u[n - 1 - j : 2 * n - 1 - j] == w for j in range(1, n)):
-            return None
-        return u[n - 1]
-
-    return _image(x, rule, 2 * n - 1, max(x.step, n - 1), new_alpha), move
+    return _image(x, move, max(x.step, n - 1), new_alpha), move
 
 
 def recode(x: ForbiddenSetSFT, table: Mapping, window: int) -> tuple[ForbiddenSetSFT, Recode]:
@@ -290,13 +315,12 @@ def recode(x: ForbiddenSetSFT, table: Mapping, window: int) -> tuple[ForbiddenSe
 
     out_alpha = Alphabet(tuple(sorted(set(used.values()))))
     k_img = x.step + (window - 1) + (q - 1)
-    y = _image(x, used.__getitem__, window, k_img, out_alpha)
     move = Recode(
         table=tuple(sorted(used.items())),
         window=window,
         inverse=tuple(sorted(inverse.items())),
     )
-    return y, move
+    return _image(x, move, k_img, out_alpha), move
 
 
 @dataclass(frozen=True)
@@ -415,23 +439,13 @@ def deciding_length_bound(pipe: MovePipeline) -> int:
     return ((m + 1) * n + 1) * 2**n
 
 
-def _wrap(cycle: Word, extra: int) -> Word:
-    """The cycle followed by its first `extra` symbols, read cyclically."""
-    return (cycle * (1 + -(-extra // len(cycle))))[: len(cycle) + extra]
-
-
 def pipeline_apply_periodic(pipe: MovePipeline, orbit: PeriodicOrbit | Word | str) -> PeriodicOrbit:
     """Image of a periodic orbit under the pipeline.
 
-    Each move is a local rule with a window of `_memory_weight` symbols,
-    applied to the cycle word of the orbit.  Expansions and symbol
-    contractions act on the cycle as it is.  A recode slides its window
-    over the cycle extended cyclically by window - 1 symbols.  A word
-    contraction first rotates the cycle to start at an occurrence of the
-    word, if the cyclic word has one, and then acts as a recode with the
-    word's length as window; occurrences never overlap, so none wraps
-    past the rotation point.  A plain string is refused when the source
-    alphabet has a multi-character symbol.
+    Each move's rule (`_transducer`) runs round the cycle word: after its
+    burn-in, what it writes over one more period is a period of the image.
+    A plain string is refused when the source alphabet has a
+    multi-character symbol.
     """
     src = pipe.source
     if isinstance(orbit, PeriodicOrbit):
@@ -442,10 +456,11 @@ def pipeline_apply_periodic(pipe: MovePipeline, orbit: PeriodicOrbit | Word | st
     if not contains_word(src, cycle * reps):
         raise PreconditionError(f"the periodic point of {cycle!r} is not in the source shift")
     for mv in pipe.moves:
-        extra = max(_memory_weight(mv) - 1, 0)
-        if isinstance(mv, WordContraction):
-            wrapped = _wrap(cycle, extra)
-            at = next((i for i in range(len(cycle)) if wrapped[i : i + extra + 1] == mv.word), 0)
-            cycle = cycle[at:] + cycle[:at]
-        cycle = _move_word(mv, _wrap(cycle, extra))
+        step, state, burn = _transducer(mv)
+        image: list[str] = []
+        for i in range(burn + len(cycle)):
+            state, chunk = step(state, cycle[i % len(cycle)])
+            if i >= burn:
+                image += chunk
+        cycle = _word(image)
     return PeriodicOrbit(cycle)

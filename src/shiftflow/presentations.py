@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInput, PreconditionError
 from .graphs import DirectedGraph, Edge, Vertex
-from .sft import ForbiddenSetSFT, _natural_edge_shift, _unambiguous_word
+from .sft import ForbiddenSetSFT, _edge_shift, _unambiguous_word
 from .words import EMPTY_WORD, Word
 
 
@@ -51,7 +51,7 @@ def labeled_graph(vertices, arcs) -> LabeledGraph:
 def sft_presentation(x: ForbiddenSetSFT) -> LabeledGraph:
     """Right-resolving presentation of an SFT: the edge-shift graph with
     each edge labeled by the last symbol of its word."""
-    data = _natural_edge_shift(x)
+    data = _edge_shift(x)
     return LabeledGraph(data.graph, tuple(w[-1] for w in data.edge_words))
 
 

@@ -78,7 +78,7 @@ def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) ->
 
 
 class EdgeShiftData(NamedTuple):
-    """Edge-shift presentation of an SFT at step m.
+    """Edge-shift presentation of an SFT at its own step m.
 
     Vertices are the admissible length-m words, edges the admissible
     length-(m+1) words; `edge_words[eid]` recovers an edge's word.  Only
@@ -86,24 +86,20 @@ class EdgeShiftData(NamedTuple):
     """
 
     graph: DirectedGraph
-    step: int
     edge_words: tuple[Word, ...]
     live_words: frozenset[Word]
 
 
 @lru_cache(maxsize=512)
-def _edge_shift(x: ForbiddenSetSFT, m: int) -> EdgeShiftData:
+def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
+    m = x.step
     words = _admissible_words(x.alphabet, x.forbidden, m + 1)
     vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
     edges = tuple(Edge(w[:m], w[1:], i) for i, w in enumerate(words))
     graph = DirectedGraph(tuple(vertices), edges).essential_part()
     edge_words = tuple(words)
     live = frozenset(edge_words[e.eid] for e in graph.edges)
-    return EdgeShiftData(graph, m, edge_words, live)
-
-
-def _natural_edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
-    return _edge_shift(x, x.step)
+    return EdgeShiftData(graph, edge_words, live)
 
 
 def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
@@ -140,7 +136,7 @@ def sft_to_edge_shift(x: ForbiddenSetSFT) -> tuple[DirectedGraph, dict[int, Word
     mixed lengths: the graph is the one of `to_m_step(x)`, whose
     admissible (M+1)-words are those of x, in the same order.
     """
-    data = _natural_edge_shift(x)
+    data = _edge_shift(x)
     return data.graph, {e.eid: data.edge_words[e.eid] for e in data.graph.edges}
 
 
@@ -160,8 +156,8 @@ def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
         raise InvalidInput("word length must be nonnegative")
     if n == 0:
         return [EMPTY_WORD]
-    data = _natural_edge_shift(x)
-    m = data.step
+    data = _edge_shift(x)
+    m = x.step
     if n <= m:
         return sorted(_short_words(data, n))
     paths = [(v, v) for v in data.graph.vertices]
@@ -178,8 +174,8 @@ def language_count(x: ForbiddenSetSFT, n: int) -> int:
         raise InvalidInput("word length must be nonnegative")
     if n == 0:
         return 1
-    data = _natural_edge_shift(x)
-    m = data.step
+    data = _edge_shift(x)
+    m = x.step
     if n <= m:
         return len(_short_words(data, n))
     return path_count(data.graph, n - m)
@@ -208,8 +204,8 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
         return True
     if not set(w).issubset(x.alphabet.symbols):
         return False
-    data = _natural_edge_shift(x)
-    m = data.step
+    data = _edge_shift(x)
+    m = x.step
     if len(w) <= m:
         return w in _short_words(data, len(w))
     return all(f in data.live_words for f in _windows(w, m + 1))
@@ -217,11 +213,11 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
 
 def is_irreducible(x: ForbiddenSetSFT) -> bool:
     """Whether any two language words can be joined inside the language."""
-    return _natural_edge_shift(x).graph.is_strongly_connected()
+    return _edge_shift(x).graph.is_strongly_connected()
 
 
 def is_empty(x: ForbiddenSetSFT) -> bool:
-    return not _natural_edge_shift(x).graph.vertices
+    return not _edge_shift(x).graph.vertices
 
 
 def apply_block_map(code: Mapping[Word, str], word: Word, window: int | None = None) -> Word:
@@ -257,7 +253,7 @@ def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     whose step is the least step of the shift.
     """
     k = x.step
-    bsets = _slices_below(set(_natural_edge_shift(x).live_words), k + 1)
+    bsets = _slices_below(set(_edge_shift(x).live_words), k + 1)
     return minimize_from_language(x.alphabet, bsets, k)
 
 

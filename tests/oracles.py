@@ -3,10 +3,11 @@
 Everything here works on plain strings and ints, recomputes from first
 principles, and never calls into shiftflow, except the library's earlier
 implementations kept as references for the ones that replaced them:
-`minimize_by_counting`, and the Word-based finite-word paths
+`minimize_by_counting`; the Word-based finite-word paths
 `move_word_by_slices`, `contains_word_by_factors` and
 `apply_block_map_by_factors`, which index and slice `Word`s symbol by
-symbol.  Deliberately slow.
+symbol; and the sliding-window move rules `image_by_windows` and
+`apply_periodic_by_rotation`.  Deliberately slow.
 """
 from __future__ import annotations
 
@@ -15,16 +16,30 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from shiftflow.errors import InvalidInput, PartialBlockMapError
-from shiftflow.moves import Move, Recode, SymbolContraction, SymbolExpansion, WordContraction
+from shiftflow.errors import InvalidInput, PartialBlockMapError, PreconditionError
+from shiftflow.graphs import DirectedGraph, Edge
+from shiftflow.moves import (
+    Move,
+    MovePipeline,
+    Recode,
+    SymbolContraction,
+    SymbolExpansion,
+    WordContraction,
+    _memory_weight,
+    _move_word,
+)
 from shiftflow.sft import (
     ForbiddenSetSFT,
-    _natural_edge_shift,
+    _admissible_words,
+    _edge_shift,
     _short_words,
+    _slices_below,
     _unambiguous_word,
+    contains_word,
     language_count,
+    minimize_from_language,
 )
-from shiftflow.words import Alphabet, Word, _word
+from shiftflow.words import Alphabet, PeriodicOrbit, Word, _word
 
 # Candidate-graph enumeration is skipped when the raw word cube would
 # exceed this; callers then keep the unminimized description.
@@ -388,8 +403,8 @@ def contains_word_by_factors(x: ForbiddenSetSFT, word: Word | str) -> bool:
         return True
     if any(s not in x.alphabet for s in w):
         return False
-    data = _natural_edge_shift(x)
-    m = data.step
+    data = _edge_shift(x)
+    m = x.step
     if len(w) <= m:
         return w in _short_words(data, len(w))
     return all(f in data.live_words for f in w.factors(m + 1))
@@ -411,3 +426,94 @@ def apply_block_map_by_factors(code: Mapping[Word, str], word: Word, window: int
             raise PartialBlockMapError(f"block map undefined on {f!r}", window=tuple(f))
         out.append(code[f])
     return Word(out)
+
+
+def _window_rule(move: Move):
+    """(rule, window) of a move read as a sliding block code whose output
+    is one symbol or nothing (None for a deleted position)."""
+    if isinstance(move, SymbolContraction):
+        return (lambda u: None if u[0] == move.removed else u[0]), 1
+    if isinstance(move, WordContraction):
+        w, n = move.word, len(move.word)
+
+        def rule(u: Word) -> str | None:
+            if u[n - 1 :] == w:
+                return move.fresh
+            if any(u[n - 1 - j : 2 * n - 1 - j] == w for j in range(1, n)):
+                return None
+            return u[n - 1]
+
+        return rule, 2 * n - 1
+    if isinstance(move, Recode):
+        return move.forward_map.__getitem__, move.window
+    raise InvalidInput(f"no window rule for {move!r}")
+
+
+def image_by_windows(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> ForbiddenSetSFT:
+    """Image of x under a move, as a k-step SFT over the symbols of
+    `alphabet` that occur, by a sliding window over the edge shift.
+
+    The window rule sees the last `window` symbols of a live edge of the
+    edge shift at step max(step, window - 1), where a word contraction of
+    a length-n word has window 2n - 1.  A walk from every vertex,
+    deduplicated on (vertex, image so far), collects the image words of
+    length k + 1.
+    """
+    rule, window = _window_rule(move)
+    m = max(x.step, window - 1)
+    words = _admissible_words(x.alphabet, x.forbidden, m + 1)
+    vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
+    graph = DirectedGraph(tuple(vertices), tuple(Edge(w[:m], w[1:], i) for i, w in enumerate(words))).essential_part()
+    out = {e.eid: rule(words[e.eid][-window:]) for e in graph.edges}
+    jmax = k + 1
+    found: set[Word] = set()
+    stack: list[tuple[Word, tuple[str, ...]]] = [(v, ()) for v in graph.vertices]
+    seen = set(stack)
+    while stack:
+        vtx, image = stack.pop()
+        if len(image) == jmax:
+            found.add(_word(image))
+            continue
+        for e in graph.out_edges(vtx):
+            s = out[e.eid]
+            state = (e.dst, image if s is None else image + (s,))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    live = {s for w in found for s in w}
+    alpha = Alphabet(tuple(s for s in alphabet if s in live))
+    return minimize_from_language(alpha, _slices_below(found, jmax), k)
+
+
+def _wrap(cycle: Word, extra: int) -> Word:
+    """The cycle followed by its first `extra` symbols, read cyclically."""
+    return (cycle * (1 + -(-extra // len(cycle))))[: len(cycle) + extra]
+
+
+def apply_periodic_by_rotation(pipe: MovePipeline, orbit: PeriodicOrbit | Word | str) -> PeriodicOrbit:
+    """Image of a periodic orbit under the pipeline, one move at a time
+    on the cycle word.
+
+    Expansions and symbol contractions act on the cycle as it is.  A
+    recode slides its window over the cycle extended cyclically by
+    window - 1 symbols.  A word contraction first rotates the cycle to
+    start at an occurrence of the word, if the cyclic word has one, and
+    then acts as a recode with the word's length as window; occurrences
+    never overlap, so none wraps past the rotation point.
+    """
+    src = pipe.source
+    if isinstance(orbit, PeriodicOrbit):
+        cycle = orbit.cycle
+    else:
+        cycle = PeriodicOrbit(_unambiguous_word(orbit, src.alphabet)).cycle
+    reps = -(-(src.step + 1) // len(cycle)) + 1
+    if not contains_word(src, cycle * reps):
+        raise PreconditionError(f"the periodic point of {cycle!r} is not in the source shift")
+    for mv in pipe.moves:
+        extra = max(_memory_weight(mv) - 1, 0)
+        if isinstance(mv, WordContraction):
+            wrapped = _wrap(cycle, extra)
+            at = next((i for i in range(len(cycle)) if wrapped[i : i + extra + 1] == mv.word), 0)
+            cycle = cycle[at:] + cycle[:at]
+        cycle = _move_word(mv, _wrap(cycle, extra))
+    return PeriodicOrbit(cycle)
