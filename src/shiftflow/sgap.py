@@ -5,12 +5,19 @@ Three descriptions are supported: an explicit finite set, an eventually
 periodic set R + (T + N*n), and a sampled window of an otherwise unknown
 set.  Sampled data can never prove anything beyond its bound, so every
 verdict derived from it is bound-qualified.
+
+Windows of a gap set are read as integer bitmasks, bit x set when x is a
+member: a translation is a shift, the members a translation fails to
+carry over are `a & ~shift(b, r)`, and periodicity breaks are the top
+bit of `chi ^ (chi >> p)`.  An exact set's mask tiles one period block
+by doubling.  `minimal_form` works per residue class, so its cost
+follows the size of its output, not the size of its offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidInput, PreconditionError
 from .words import Word
@@ -107,17 +114,36 @@ def _exact(s: FiniteGaps | EventuallyPeriodicGaps) -> EventuallyPeriodicGaps:
     return minimal_form(s)
 
 
-def _member_fn(s: EventuallyPeriodicGaps) -> Callable[[int], bool]:
-    sporadic = frozenset(s.R)
-    offsets = s.T
-    period = s.N
+def _low(limit: int) -> int:
+    """The mask of [0, limit]; 0 when limit is negative."""
+    return (1 << max(limit + 1, 0)) - 1
 
-    def member(x: int) -> bool:
-        if x in sporadic:
-            return True
-        return any(x >= t and (x - t) % period == 0 for t in offsets)
 
-    return member
+def _bits(members: Iterable[int], limit: int) -> int:
+    """The members in [0, limit] of an ascending run of nonnegative
+    integers, as one integer: bit x is set when x is a member."""
+    chi = bytearray(max(limit + 1, 0) // 8 + 1)
+    for x in members:
+        if x > limit:
+            break
+        chi[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(chi, "little")
+
+
+def _mask(s: EventuallyPeriodicGaps | SampledGaps, limit: int) -> int:
+    """The members of s in [0, limit], as `_bits`.  The tail of an exact
+    set is its block of offsets, tiled with period N by doubling."""
+    if isinstance(s, SampledGaps):
+        return _bits(s.members, limit)
+    chi = _bits(s.R, limit)
+    if s.T and s.T[0] <= limit:
+        tail = _bits([t - s.T[0] for t in s.T], limit - s.T[0])
+        copies = 1
+        while s.T[0] + copies * s.N <= limit:
+            tail |= tail << (copies * s.N)
+            copies *= 2
+        chi |= (tail << s.T[0]) & _low(limit)
+    return chi
 
 
 def forbidden_words(s: SGapSet, max_len: int) -> set[Word]:
@@ -130,26 +156,17 @@ def forbidden_words(s: SGapSet, max_len: int) -> set[Word]:
         raise PreconditionError(
             f"max_len {max_len} exceeds the verified window {s.bound} + 2"
         )
-    out: set[Word] = set()
-    if isinstance(s, SampledGaps):
-        mem = set(s.members)
-        member = lambda x: x in mem
-    else:
-        m = _exact(s)
-        if not m.T:
-            if not m.R:
-                raise InvalidInput("empty gap set")
-            allowed = set(m.R)
-            top = m.R[-1]
-            for k in range(top):
-                if k not in allowed:
-                    out.add(Word("1" + "0" * k + "1"))
-            out.add(Word("0" * (top + 1)))
-            return out
-        member = _member_fn(m)
-    for k in range(max(max_len - 1, 0)):
-        if not member(k):
-            out.add(Word("1" + "0" * k + "1"))
+    m: EventuallyPeriodicGaps | SampledGaps = s if isinstance(s, SampledGaps) else _exact(s)
+    top = None
+    if not isinstance(m, SampledGaps) and not m.T:
+        if not m.R:
+            raise InvalidInput("empty gap set")
+        top = m.R[-1]
+    limit = max_len - 2 if top is None else top - 1
+    chi = _mask(m, limit)
+    out = {Word("1" + "0" * k + "1") for k in range(limit + 1) if not chi >> k & 1}
+    if top is not None:
+        out.add(Word("0" * (top + 1)))
     return out
 
 
@@ -176,18 +193,18 @@ def minimal_form(s: EventuallyPeriodicGaps) -> EventuallyPeriodicGaps:
         if period % d == 0 and all((rho + d) % period in residues for rho in residues)
     )
     base = max(threshold.values()) - new_period + 1
-
-    def in_tail(x: int) -> bool:
-        rho = x % period
-        return rho in residues and x >= threshold[rho]
-
-    offsets = tuple(x for x in range(max(base, 0), base + new_period) if in_tail(x))
+    offsets = tuple(
+        x for x in range(max(base, 0), base + new_period)
+        if x % period in residues and x >= threshold[x % period]
+    )
 
     def in_new_tail(x: int) -> bool:
         return any(x >= t and (x - t) % new_period == 0 for t in offsets)
 
-    leftovers = [x for x in range(max(base, 0)) if in_tail(x) and not in_new_tail(x)]
-    sporadic = tuple(sorted({x for x in s.R + tuple(leftovers) if not in_new_tail(x)}))
+    # The new tail starts at the base, so the old tail's members below it
+    # are sporadic: per residue class, the ones from its threshold up.
+    leftovers = tuple(x for t in threshold.values() for x in range(t, max(base, 0), period))
+    sporadic = tuple(sorted({x for x in s.R + leftovers if not in_new_tail(x)}))
     return EventuallyPeriodicGaps(sporadic, offsets, new_period)
 
 
@@ -256,15 +273,13 @@ def detect_eventual_periodicity(s: SampledGaps) -> EventuallyPeriodicGaps | None
     """Eventually periodic description fitting the samples, if one is
     visible for at least three full periods; None otherwise."""
     bound = s.bound
-    chi = [0] * (bound + 1)
-    for m in s.members:
-        chi[m] = 1
+    chi = _mask(s, bound)
     for period in range(1, bound // 3 + 1):
-        breaks = [x for x in range(bound - period + 1) if chi[x] != chi[x + period]]
-        start = breaks[-1] + 1 if breaks else 0
+        # bit x of breaks: x and x + period differ, for x <= bound - period
+        start = ((chi ^ (chi >> period)) & _low(bound - period)).bit_length()
         if bound - start < 3 * period:
             continue
-        offsets = tuple(x for x in range(start, start + period) if chi[x])
+        offsets = tuple(m for m in s.members if start <= m < start + period)
         sporadic = tuple(m for m in s.members if m < start)
         return minimal_form(EventuallyPeriodicGaps(sporadic, offsets, period))
     return None
@@ -318,11 +333,12 @@ def _fe_equal_exact(
     # realign mod N, so only one residue class of r can work.
     period = a.N
     want = {t % period for t in b.T}
-    m1 = _member_fn(a)
-    m2 = _member_fn(b)
     span = max(a.R + a.T + b.R + b.T) + period
+    cap = span + (bound + 2) * period
+    # the widest window below is span + cap + 2N
+    chi_a, chi_b = _mask(a, span + cap + 2 * period), _mask(b, span + cap + 2 * period)
     best: tuple[tuple[int, int, int], int] | None = None
-    for r in _signed_range(span + (bound + 2) * period):
+    for r in _signed_range(cap):
         # beyond the span, |r| alone forces at least one removal per period
         if best is not None and (abs(r) - span) // period > best[0][0]:
             break
@@ -333,8 +349,8 @@ def _fe_equal_exact(
         # are periodic and the residue filter aligns them, so a member x
         # of a can be forced only if x <= span + max(-r, 0), and a member
         # y of b only if y <= span + max(r, 0): both ranges cover them.
-        forced_a, forced_b = _forced_removals(m1, m2, r, span + abs(r) + 2 * period)
-        n = max(len(forced_a), len(forced_b))
+        forced_a, forced_b = _forced_removals(chi_a, chi_b, r, span + abs(r) + 2 * period)
+        n = max(forced_a.bit_count(), forced_b.bit_count())
         if n <= bound:
             key = (n, abs(r), 0 if r >= 0 else 1)
             if best is None or key < best[0]:
@@ -345,32 +361,28 @@ def _fe_equal_exact(
     return FEVerdict("equivalent", witness=(n, r))
 
 
-def _window_membership(s: SGapSet) -> tuple[Callable[[int], bool], int | None]:
-    if isinstance(s, SampledGaps):
-        mem = frozenset(s.members)
-        return (lambda x: x in mem), s.bound
-    return _member_fn(_exact(s)), None
+def _window_masks(s1: SGapSet, s2: SGapSet) -> tuple[int, int, int]:
+    """Masks of both sets on their common verified window, and the window;
+    at least one of them is sampled."""
+    window = min(s.bound for s in (s1, s2) if isinstance(s, SampledGaps))
+    masks = [_mask(s if isinstance(s, SampledGaps) else _exact(s), window) for s in (s1, s2)]
+    return masks[0], masks[1], window
 
 
-def _forced_removals(
-    f1: Callable[[int], bool], f2: Callable[[int], bool], r: int, window: int
-) -> tuple[list[int], list[int]]:
-    hi_a = window - max(r, 0)
-    hi_b = window + min(r, 0)
-    forced_a = [x for x in range(hi_a + 1) if f1(x) and not (x + r >= 0 and f2(x + r))]
-    forced_b = [y for y in range(hi_b + 1) if f2(y) and not (y - r >= 0 and f1(y - r))]
-    return forced_a, forced_b
+def _forced_removals(a: int, b: int, r: int, window: int) -> tuple[int, int]:
+    """The members of mask a that x -> x + r does not carry into mask b,
+    up to window - max(r, 0), and the members of b that it does not reach,
+    up to window + min(r, 0).  a and b must be exact on [0, window]."""
+    carried = b >> r if r >= 0 else b << -r  # bit x: x + r is in b
+    reached = a << r if r >= 0 else a >> -r  # bit y: y - r is in a
+    return a & ~carried & _low(window - max(r, 0)), b & ~reached & _low(window + min(r, 0))
 
 
 def _window_consistent(s1: SGapSet, s2: SGapSet, witness: tuple[int, int]) -> bool:
-    f1, b1 = _window_membership(s1)
-    f2, b2 = _window_membership(s2)
-    limits = [b for b in (b1, b2) if b is not None]
-    if not limits:
-        return True
+    a, b, window = _window_masks(s1, s2)
     n, r = witness
-    forced_a, forced_b = _forced_removals(f1, f2, r, min(limits))
-    return max(len(forced_a), len(forced_b)) <= n
+    forced_a, forced_b = _forced_removals(a, b, r, window)
+    return max(forced_a.bit_count(), forced_b.bit_count()) <= n
 
 
 def _fe_equal_window(s1: SGapSet, s2: SGapSet, bound: int) -> FEVerdict:
@@ -380,21 +392,16 @@ def _fe_equal_window(s1: SGapSet, s2: SGapSet, bound: int) -> FEVerdict:
     lower half of the window: the upper half must match exactly under
     the translation, otherwise wholesale removals could fake a match.
     """
-    f1, b1 = _window_membership(s1)
-    f2, b2 = _window_membership(s2)
-    limits = [b for b in (b1, b2) if b is not None]
-    window = min(limits)
+    a, b, window = _window_masks(s1, s2)
     half = window // 2
     if window < 4:
         return FEVerdict("unknown_up_to", bound=window)
     best: tuple[tuple[int, int, int], int] | None = None
     for r in _signed_range(min(bound, window - half)):
-        forced_a, forced_b = _forced_removals(f1, f2, r, window)
-        if forced_a and max(forced_a) > half:
+        forced_a, forced_b = _forced_removals(a, b, r, window)
+        if max(forced_a.bit_length(), forced_b.bit_length()) - 1 > half:
             continue
-        if forced_b and max(forced_b) > half:
-            continue
-        n = max(len(forced_a), len(forced_b))
+        n = max(forced_a.bit_count(), forced_b.bit_count())
         if n <= bound:
             key = (n, abs(r), 0 if r >= 0 else 1)
             if best is None or key < best[0]:

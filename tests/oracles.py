@@ -6,15 +6,18 @@ implementations kept as references for the ones that replaced them:
 `minimize_by_counting`; the Word-based finite-word paths
 `move_word_by_slices`, `contains_word_by_factors` and
 `apply_block_map_by_factors`, which index and slice `Word`s symbol by
-symbol; and the sliding-window move rules `image_by_windows` and
-`apply_periodic_by_rotation`.  Deliberately slow.
+symbol; the sliding-window move rules `image_by_windows` and
+`apply_periodic_by_rotation`; and the gap-set decisions that read a
+window one position at a time through membership callables, from
+`_member_fn` to `fe_equal`, kept verbatim under their library names.
+Deliberately slow.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
+from typing import Callable, Mapping
 
 from shiftflow.errors import InvalidInput, PartialBlockMapError, PreconditionError
 from shiftflow.graphs import DirectedGraph, Edge
@@ -40,6 +43,17 @@ from shiftflow.sft import (
     minimize_from_language,
 )
 from shiftflow.words import Alphabet, PeriodicOrbit, Word, _word
+from shiftflow.sgap import (
+    Classification,
+    EventuallyPeriodicGaps,
+    FEVerdict,
+    FiniteGaps,
+    FullShift,
+    SampledGaps,
+    SGapSet,
+    _signed_range,
+    fe_invariant,
+)
 
 # Candidate-graph enumeration is skipped when the raw word cube would
 # exceed this; callers then keep the unminimized description.
@@ -517,3 +531,286 @@ def apply_periodic_by_rotation(pipe: MovePipeline, orbit: PeriodicOrbit | Word |
             cycle = cycle[at:] + cycle[:at]
         cycle = _move_word(mv, _wrap(cycle, extra))
     return PeriodicOrbit(cycle)
+
+
+def _exact(s: FiniteGaps | EventuallyPeriodicGaps) -> EventuallyPeriodicGaps:
+    """The one form every exact gap set is read in: its minimal form, a
+    finite set E being EventuallyPeriodicGaps(E, (), 1)."""
+    if isinstance(s, FiniteGaps):
+        return EventuallyPeriodicGaps(s.elements, (), 1)
+    return minimal_form(s)
+
+
+def _member_fn(s: EventuallyPeriodicGaps) -> Callable[[int], bool]:
+    sporadic = frozenset(s.R)
+    offsets = s.T
+    period = s.N
+
+    def member(x: int) -> bool:
+        if x in sporadic:
+            return True
+        return any(x >= t and (x - t) % period == 0 for t in offsets)
+
+    return member
+
+
+def forbidden_words(s: SGapSet, max_len: int) -> set[Word]:
+    """Forbidden set of the gap shift, as words over {0, 1}.
+
+    Finite sets get their full (finite) forbidden set regardless of
+    max_len; infinite sets get every gap word of length <= max_len.
+    """
+    if isinstance(s, SampledGaps) and max_len > s.bound + 2:
+        raise PreconditionError(
+            f"max_len {max_len} exceeds the verified window {s.bound} + 2"
+        )
+    out: set[Word] = set()
+    if isinstance(s, SampledGaps):
+        mem = set(s.members)
+        member = lambda x: x in mem
+    else:
+        m = _exact(s)
+        if not m.T:
+            if not m.R:
+                raise InvalidInput("empty gap set")
+            allowed = set(m.R)
+            top = m.R[-1]
+            for k in range(top):
+                if k not in allowed:
+                    out.add(Word("1" + "0" * k + "1"))
+            out.add(Word("0" * (top + 1)))
+            return out
+        member = _member_fn(m)
+    for k in range(max(max_len - 1, 0)):
+        if not member(k):
+            out.add(Word("1" + "0" * k + "1"))
+    return out
+
+
+def minimal_form(s: EventuallyPeriodicGaps) -> EventuallyPeriodicGaps:
+    """Equivalent description with the least period, tail offsets packed
+    into one period window, and sporadic elements outside the tail.
+
+    Idempotent; the described set is unchanged.
+    """
+    if not isinstance(s, EventuallyPeriodicGaps):
+        raise InvalidInput("minimal form applies to eventually periodic sets")
+    if not s.T:
+        return EventuallyPeriodicGaps(s.R, (), 1)
+    period = s.N
+    threshold: dict[int, int] = {}
+    for t in s.T:
+        rho = t % period
+        if rho not in threshold or t < threshold[rho]:
+            threshold[rho] = t
+    residues = set(threshold)
+    new_period = next(
+        d
+        for d in range(1, period + 1)
+        if period % d == 0 and all((rho + d) % period in residues for rho in residues)
+    )
+    base = max(threshold.values()) - new_period + 1
+
+    def in_tail(x: int) -> bool:
+        rho = x % period
+        return rho in residues and x >= threshold[rho]
+
+    offsets = tuple(x for x in range(max(base, 0), base + new_period) if in_tail(x))
+
+    def in_new_tail(x: int) -> bool:
+        return any(x >= t and (x - t) % new_period == 0 for t in offsets)
+
+    leftovers = [x for x in range(max(base, 0)) if in_tail(x) and not in_new_tail(x)]
+    sporadic = tuple(sorted({x for x in s.R + tuple(leftovers) if not in_new_tail(x)}))
+    return EventuallyPeriodicGaps(sporadic, offsets, new_period)
+
+
+def classify_type(s: SGapSet) -> Classification:
+    """finite_type / strictly_sofic, bound-qualified for sampled input;
+    the empty exact set raises `InvalidInput`, as in `fe_invariant`."""
+    if isinstance(s, (FiniteGaps, EventuallyPeriodicGaps)):
+        m, bound = _as_exact(s), None
+    else:
+        m, bound = detect_eventual_periodicity(s), s.bound
+        if m is None:
+            return Classification("not_eventually_periodic_up_to_bound", bound=bound)
+    if not m.T or m.N == 1:
+        return Classification("finite_type", bound=bound)
+    return Classification("strictly_sofic", bound=bound)
+
+
+def detect_eventual_periodicity(s: SampledGaps) -> EventuallyPeriodicGaps | None:
+    """Eventually periodic description fitting the samples, if one is
+    visible for at least three full periods; None otherwise."""
+    bound = s.bound
+    chi = [0] * (bound + 1)
+    for m in s.members:
+        chi[m] = 1
+    for period in range(1, bound // 3 + 1):
+        breaks = [x for x in range(bound - period + 1) if chi[x] != chi[x + period]]
+        start = breaks[-1] + 1 if breaks else 0
+        if bound - start < 3 * period:
+            continue
+        offsets = tuple(x for x in range(start, start + period) if chi[x])
+        sporadic = tuple(m for m in s.members if m < start)
+        return minimal_form(EventuallyPeriodicGaps(sporadic, offsets, period))
+    return None
+
+
+def _as_exact(s: SGapSet) -> EventuallyPeriodicGaps | None:
+    """The exact form of s; for sampled input, the detected description,
+    or None when there is none.  Only exact input can be the empty set:
+    a sampled window with no members says nothing past its bound, so it
+    gets None (and `fe_equal` answers it unknown up to its bound)."""
+    if isinstance(s, SampledGaps):
+        m = detect_eventual_periodicity(s)
+        return m if m is not None and (m.T or m.R) else None
+    m = _exact(s)
+    if not m.T and not m.R:
+        raise InvalidInput("empty gap set")
+    return m
+
+
+def _fe_equal_exact(
+    a: EventuallyPeriodicGaps, b: EventuallyPeriodicGaps, bound: int
+) -> FEVerdict:
+    tag_a = fe_invariant(a)
+    tag_b = fe_invariant(b)
+    if isinstance(tag_a, FullShift) or isinstance(tag_b, FullShift):
+        if isinstance(tag_a, FullShift) and isinstance(tag_b, FullShift):
+            if tag_a.symbols == tag_b.symbols:
+                return FEVerdict(
+                    "equivalent",
+                    reason=f"both flow equivalent to the full {tag_a.symbols}-shift",
+                )
+            return FEVerdict(
+                "not_equivalent",
+                reason="full shifts on different symbol counts",
+            )
+        return FEVerdict(
+            "not_equivalent",
+            reason="finite type is never flow equivalent to strictly sofic",
+        )
+    if tag_a != tag_b:
+        return FEVerdict("not_equivalent", reason="sofic gap invariants differ")
+
+    # Same tag: hunt for a cofinite translation witness.  Offsets must
+    # realign mod N, so only one residue class of r can work.
+    period = a.N
+    want = {t % period for t in b.T}
+    m1 = _member_fn(a)
+    m2 = _member_fn(b)
+    span = max(a.R + a.T + b.R + b.T) + period
+    best: tuple[tuple[int, int, int], int] | None = None
+    for r in _signed_range(span + (bound + 2) * period):
+        # beyond the span, |r| alone forces at least one removal per period
+        if best is not None and (abs(r) - span) // period > best[0][0]:
+            break
+        if {(t + r) % period for t in a.T} != want:
+            continue
+        # With this window, a is counted up to span + 2N + |r| - max(r, 0)
+        # and b up to span + 2N + |r| + min(r, 0).  Past span both sets
+        # are periodic and the residue filter aligns them, so a member x
+        # of a can be forced only if x <= span + max(-r, 0), and a member
+        # y of b only if y <= span + max(r, 0): both ranges cover them.
+        forced_a, forced_b = _forced_removals(m1, m2, r, span + abs(r) + 2 * period)
+        n = max(len(forced_a), len(forced_b))
+        if n <= bound:
+            key = (n, abs(r), 0 if r >= 0 else 1)
+            if best is None or key < best[0]:
+                best = (key, r)
+    if best is None:
+        return FEVerdict("unknown_up_to", bound=bound)
+    (n, _, _), r = best
+    return FEVerdict("equivalent", witness=(n, r))
+
+
+def _window_membership(s: SGapSet) -> tuple[Callable[[int], bool], int | None]:
+    if isinstance(s, SampledGaps):
+        mem = frozenset(s.members)
+        return (lambda x: x in mem), s.bound
+    return _member_fn(_exact(s)), None
+
+
+def _forced_removals(
+    f1: Callable[[int], bool], f2: Callable[[int], bool], r: int, window: int
+) -> tuple[list[int], list[int]]:
+    hi_a = window - max(r, 0)
+    hi_b = window + min(r, 0)
+    forced_a = [x for x in range(hi_a + 1) if f1(x) and not (x + r >= 0 and f2(x + r))]
+    forced_b = [y for y in range(hi_b + 1) if f2(y) and not (y - r >= 0 and f1(y - r))]
+    return forced_a, forced_b
+
+
+def _window_consistent(s1: SGapSet, s2: SGapSet, witness: tuple[int, int]) -> bool:
+    f1, b1 = _window_membership(s1)
+    f2, b2 = _window_membership(s2)
+    limits = [b for b in (b1, b2) if b is not None]
+    if not limits:
+        return True
+    n, r = witness
+    forced_a, forced_b = _forced_removals(f1, f2, r, min(limits))
+    return max(len(forced_a), len(forced_b)) <= n
+
+
+def _fe_equal_window(s1: SGapSet, s2: SGapSet, bound: int) -> FEVerdict:
+    """Translation search on the common verified window.
+
+    A witness is accepted only when every forced removal sits in the
+    lower half of the window: the upper half must match exactly under
+    the translation, otherwise wholesale removals could fake a match.
+    """
+    f1, b1 = _window_membership(s1)
+    f2, b2 = _window_membership(s2)
+    limits = [b for b in (b1, b2) if b is not None]
+    window = min(limits)
+    half = window // 2
+    if window < 4:
+        return FEVerdict("unknown_up_to", bound=window)
+    best: tuple[tuple[int, int, int], int] | None = None
+    for r in _signed_range(min(bound, window - half)):
+        forced_a, forced_b = _forced_removals(f1, f2, r, window)
+        if forced_a and max(forced_a) > half:
+            continue
+        if forced_b and max(forced_b) > half:
+            continue
+        n = max(len(forced_a), len(forced_b))
+        if n <= bound:
+            key = (n, abs(r), 0 if r >= 0 else 1)
+            if best is None or key < best[0]:
+                best = (key, r)
+    if best is not None:
+        (n, _, _), r = best
+        return FEVerdict("equivalent", witness=(n, r))
+    return FEVerdict("not_equivalent_up_to", bound=window)
+
+
+def fe_equal(s1: SGapSet, s2: SGapSet, search_bound: int = 200) -> FEVerdict:
+    """Decide flow equivalence of two gap shifts.
+
+    Exact descriptions give exact verdicts.  Any sampled input caps what
+    can be concluded: a negative answer degrades to not_equivalent_up_to,
+    and a positive answer needs a witness the window itself confirms.
+    """
+    if search_bound < 1:
+        raise InvalidInput("search bound must be at least 1")
+    sampled = isinstance(s1, SampledGaps) or isinstance(s2, SampledGaps)
+    e1 = _as_exact(s1)
+    e2 = _as_exact(s2)
+    if not sampled:
+        assert e1 is not None and e2 is not None
+        return _fe_equal_exact(e1, e2, search_bound)
+    window = min(s.bound for s in (s1, s2) if isinstance(s, SampledGaps))
+    if any(isinstance(s, SampledGaps) and not s.members for s in (s1, s2)):
+        # no member to translate: any partner matches it by removals alone
+        return FEVerdict("unknown_up_to", bound=window)
+    if e1 is not None and e2 is not None:
+        verdict = _fe_equal_exact(e1, e2, search_bound)
+        if verdict.outcome == "equivalent":
+            if verdict.witness is None or _window_consistent(s1, s2, verdict.witness):
+                return verdict
+            return FEVerdict("unknown_up_to", bound=window)
+        if verdict.outcome == "not_equivalent":
+            return FEVerdict("not_equivalent_up_to", reason=verdict.reason, bound=window)
+        return verdict
+    return _fe_equal_window(s1, s2, search_bound)

@@ -1,0 +1,84 @@
+"""Run the benchmark in pairs on two checkouts and compare them.
+
+    python3 tools/pairs.py PARENT CHANGE --workload W --pairs N [--seed S] [--seconds T]
+
+PARENT and CHANGE are roots of two shiftflow checkouts.  Each pair runs
+`perfbench/run.py --trace 0` once in each checkout, one after the other;
+the order flips every pair, so a drift of the host's speed does not
+favour one side.  For every run it prints `correct`, `failed` and the
+number of rounds; then, per end-to-end metric, each side's median and
+quartiles, and how many pairs the change won on `throughput_ops_s`.
+Nothing in either checkout is written except what a benchmark run
+writes itself.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROUNDS = re.compile(r"^\d+ operations x (\d+) rounds", re.MULTILINE)
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in the checkout at root: its result line, with
+    the round count the run printed added as `rounds`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{root}: benchmark run exited with {proc.returncode}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    rounds = ROUNDS.search(proc.stdout)
+    result["rounds"] = int(rounds.group(1)) if rounds else None
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            runs[side].append(result)
+            tput = result["metrics"]["throughput_ops_s"]["value"]
+            print(f"pair {i + 1} {side}: correct {str(result['correct']).lower()}, failed {result['failed']}, "
+                  f"rounds {result['rounds']}, throughput_ops_s {tput:.6g}", flush=True)
+    print(f"\n{args.workload}, {args.pairs} pairs: median [q1, q3]")
+    for name, metric in runs["parent"][0]["metrics"].items():
+        cells = []
+        for side in sides:
+            q1, q2, q3 = quartiles([r["metrics"][name]["value"] for r in runs[side]])
+            cells.append(f"{side} {q2:.6g} [{q1:.6g}, {q3:.6g}]")
+        print(f"{name} ({metric['unit']}): " + "; ".join(cells))
+    wins = sum(
+        c["metrics"]["throughput_ops_s"]["value"] > p["metrics"]["throughput_ops_s"]["value"]
+        for p, c in zip(runs["parent"], runs["change"])
+    )
+    print(f"throughput_ops_s: change wins {wins} of {args.pairs} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
