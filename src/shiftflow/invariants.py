@@ -1,8 +1,9 @@
 """Integer matrix invariants attached to edge shifts.
 
 Matrices are tuples of tuples of Python ints, so all arithmetic is
-exact.  The Smith normal form keeps its transforms, and every
-normalization choice here is deterministic: same input, same output.
+exact.  The Smith normal form keeps its transforms (Bowen-Franks data
+needs only its diagonal), and every normalization choice here is
+deterministic: same input, same output.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInput, PreconditionError
-from .graphs import from_adjacency
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
 def as_matrix(rows: Sequence[Sequence[int]], square: bool = False) -> Matrix:
-    out = tuple(tuple(r) for r in rows)
+    # Hot paths build tuples from lists, whose length is known.  A tuple
+    # grown from a generator is resized rather than taken from CPython's
+    # per-size tuple free lists, yet joins them when freed, so they fill
+    # up to 2,000 tuples of each size and hold that memory.
+    out = tuple([tuple(r) for r in rows])
     width = len(out[0]) if out else 0
     for r in out:
         if len(r) != width:
@@ -84,6 +88,114 @@ class SmithDecomposition(NamedTuple):
         return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0)))
 
 
+def _smith(m: list[list[int]], u: list[list[int]] | None = None, v: list[list[int]] | None = None) -> int:
+    """Bring m to Smith normal form in place; return det(U) * det(V).
+
+    Row operations are applied to u and column operations to v when they
+    are given, so U @ A @ V == D for the u and v passed in as identities;
+    the pivot rule is the one `smith_normal_form` states.  Row and column
+    additions keep both determinants; each swap and the negation of a
+    negative pivot row flips one of them, so the result is +1 or -1.
+    Rows above the working submatrix are zero in its columns and rows
+    inside it are zero left of it, so the operations on m skip them.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    sign = 1
+
+    def swap_rows(i: int, j: int) -> None:
+        m[i], m[j] = m[j], m[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        for k in range(i, rows):  # i is the pivot column; rows above are zero there
+            r = m[k]
+            r[i], r[j] = r[j], r[i]
+        for r in v or ():
+            r[i], r[j] = r[j], r[i]
+
+    for t in range(min(rows, cols)):
+        best = 0
+        pi = pj = t
+        for i in range(t, rows):
+            row = m[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (not best or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+        if not best:
+            break
+        if pi != t:
+            swap_rows(t, pi)
+            sign = -sign
+        if pj != t:
+            swap_cols(t, pj)
+            sign = -sign
+        while True:
+            # Clear column t, restarting whenever a smaller remainder shows up.
+            mt = m[t]
+            p = mt[t]
+            restart = False
+            for i in range(t + 1, rows):
+                mi = m[i]
+                if mi[t]:
+                    q = mi[t] // p
+                    for j in range(t, cols):
+                        mi[j] -= q * mt[j]
+                    if u is not None:
+                        ui, ut = u[i], u[t]
+                        for j in range(rows):
+                            ui[j] -= q * ut[j]
+                    if mi[t]:
+                        swap_rows(t, i)
+                        sign = -sign
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, cols):
+                if mt[j]:
+                    q = mt[j] // p
+                    for k in range(t, rows):
+                        r = m[k]
+                        r[j] -= q * r[t]
+                    for r in v or ():
+                        r[j] -= q * r[t]
+                    if mt[j]:
+                        swap_cols(t, j)
+                        sign = -sign
+                        restart = True
+                        break
+            if restart:
+                continue
+            # Pivot must divide the rest of the submatrix; pull a bad row up.
+            offender = None
+            for i in range(t + 1, rows):
+                mi = m[i]
+                for j in range(t + 1, cols):
+                    if mi[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            mi = m[offender]
+            for j in range(t, cols):
+                mt[j] += mi[j]
+            if u is not None:
+                ui, ut = u[offender], u[t]
+                for j in range(rows):
+                    ut[j] += ui[j]
+        if m[t][t] < 0:
+            m[t][t] = -m[t][t]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+            sign = -sign
+    return sign
+
+
 def smith_normal_form(a: Matrix) -> SmithDecomposition:
     """Smith normal form over the integers with recorded transforms.
 
@@ -93,92 +205,13 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = [list(r) for r in a]
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
-
-    def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src: int, dst: int, c: int) -> None:
-        for j in range(cols):
-            m[dst][j] += c * m[src][j]
-        for j in range(rows):
-            u[dst][j] += c * u[src][j]
-
-    def add_col(src: int, dst: int, c: int) -> None:
-        for r in m:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def pivot_at(t: int) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        pos = pivot_at(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # Clear column t, restarting whenever a smaller remainder shows up.
-            restart = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(t, i, -q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(t, j, -q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # Pivot must divide the rest of the submatrix; pull a bad row up.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if m[t][t] < 0:
-            for j in range(cols):
-                m[t][j] = -m[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-        t += 1
-
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    _smith(m, u, v)
     return SmithDecomposition(
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in m),
-        tuple(tuple(r) for r in v),
+        tuple([tuple(r) for r in u]),
+        tuple([tuple(r) for r in m]),
+        tuple([tuple(r) for r in v]),
     )
 
 
@@ -200,14 +233,23 @@ class SignedBFGroup:
 
 
 def bowen_franks(a: Sequence[Sequence[int]]) -> SignedBFGroup:
-    """Signed Bowen-Franks data of an adjacency matrix."""
-    mat = as_matrix(a, square=True)
-    n = len(mat)
-    b = mat_sub(identity(n), mat)
-    det = determinant(b)
-    sign = 0 if det == 0 else (1 if det > 0 else -1)
-    diag = smith_normal_form(b).diagonal
-    return SignedBFGroup(sign, tuple(d for d in diag if d != 1))
+    """Signed Bowen-Franks data of an adjacency matrix.
+
+    One Smith elimination of I - A, without its transforms, gives both
+    parts.  U (I - A) V = D means det(I - A) = det U * det V * (d1 * ...
+    * dn): det U and det V are each +1 or -1 because U and V are
+    unimodular, and the elimination returns their product; every d is
+    nonnegative.  So the sign is 0 when some d is 0 and that product
+    otherwise.
+    """
+    return _bowen_franks(as_matrix(a, square=True))
+
+
+def _bowen_franks(mat: Matrix) -> SignedBFGroup:
+    m = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    sign = _smith(m)
+    diag = [m[i][i] for i in range(len(m))]
+    return SignedBFGroup(0 if 0 in diag else sign, tuple([d for d in diag if d != 1]))
 
 
 def is_nonnegative(a: Matrix) -> bool:
@@ -222,13 +264,36 @@ def _check_adjacency(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def is_irreducible_matrix(a: Sequence[Sequence[int]]) -> bool:
-    """Every index reaches every index through positive powers."""
-    return from_adjacency(_check_adjacency(a)).is_strongly_connected()
+    """Every index reaches every index through positive powers.
+
+    Only the support is read (which entries are nonzero, not how large
+    they are), so the work is bounded by the matrix size, not its entries.
+    """
+    return _irreducible(_check_adjacency(a))
+
+
+def _irreducible(mat: Matrix) -> bool:
+    return bool(mat) and _reaches_all(mat) and _reaches_all(list(zip(*mat)))
+
+
+def _reaches_all(mat: Sequence[Sequence[int]]) -> bool:
+    """Index 0 reaches every index, itself included, in one or more steps."""
+    seen = [False] * len(mat)
+    stack = [0]
+    while stack:
+        for j, x in enumerate(mat[stack.pop()]):
+            if x and not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return all(seen)
 
 
 def is_single_orbit(a: Sequence[Sequence[int]]) -> bool:
     """Permutation matrix whose permutation is one full cycle."""
-    mat = _check_adjacency(a)
+    return _single_orbit(_check_adjacency(a))
+
+
+def _single_orbit(mat: Matrix) -> bool:
     n = len(mat)
     if n == 0:
         return False
@@ -253,12 +318,15 @@ def franks_decide(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> boo
     Only meaningful for irreducible matrices that are not single
     orbits; anything else is rejected rather than misclassified.
     """
-    for name, mat in (("first", a), ("second", b)):
-        if not is_irreducible_matrix(mat):
+    mats = []
+    for name, m in (("first", a), ("second", b)):
+        mat = _check_adjacency(m)
+        if not _irreducible(mat):
             raise PreconditionError(f"{name} matrix is not irreducible")
-        if is_single_orbit(mat):
+        if _single_orbit(mat):
             raise PreconditionError(f"{name} matrix presents a single periodic orbit")
-    return bowen_franks(a) == bowen_franks(b)
+        mats.append(mat)
+    return _bowen_franks(mats[0]) == _bowen_franks(mats[1])
 
 
 def verify_elementary_equivalence(

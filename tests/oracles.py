@@ -9,18 +9,32 @@ implementations kept as references for the ones that replaced them:
 symbol; the sliding-window move rules `image_by_windows` and
 `apply_periodic_by_rotation`; and the gap-set decisions that read a
 window one position at a time through membership callables, from
-`_member_fn` to `fe_equal`, kept verbatim under their library names.
-Deliberately slow.
+`_member_fn` to `fe_equal`, kept verbatim under their library names;
+and the matrix invariants that kept both Smith transforms, took the sign
+from a Bareiss determinant and read irreducibility from a multigraph with
+one edge per unit of each entry, from `smith_normal_form_by_closures` to
+`franks_decide_by_graphs`.  Deliberately slow.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from shiftflow.errors import InvalidInput, PartialBlockMapError, PreconditionError
-from shiftflow.graphs import DirectedGraph, Edge
+from shiftflow.graphs import DirectedGraph, Edge, from_adjacency
+from shiftflow.invariants import (
+    Matrix,
+    SignedBFGroup,
+    SmithDecomposition,
+    _check_adjacency,
+    as_matrix,
+    determinant,
+    identity,
+    is_single_orbit,
+    mat_sub,
+)
 from shiftflow.moves import (
     Move,
     MovePipeline,
@@ -814,3 +828,131 @@ def fe_equal(s1: SGapSet, s2: SGapSet, search_bound: int = 200) -> FEVerdict:
             return FEVerdict("not_equivalent_up_to", reason=verdict.reason, bound=window)
         return verdict
     return _fe_equal_window(s1, s2, search_bound)
+
+
+def smith_normal_form_by_closures(a: Matrix) -> SmithDecomposition:
+    """Smith normal form over the integers with recorded transforms.
+
+    Pivot choice is the least |entry| in the working submatrix with
+    row-major ties, so the decomposition is reproducible.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(r) for r in a]
+    u = [list(r) for r in identity(rows)]
+    v = [list(r) for r in identity(cols)]
+
+    def swap_rows(i: int, j: int) -> None:
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src: int, dst: int, c: int) -> None:
+        for j in range(cols):
+            m[dst][j] += c * m[src][j]
+        for j in range(rows):
+            u[dst][j] += c * u[src][j]
+
+    def add_col(src: int, dst: int, c: int) -> None:
+        for r in m:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+
+    def pivot_at(t: int) -> tuple[int, int] | None:
+        best: tuple[int, int] | None = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(rows, cols):
+        pos = pivot_at(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            # Clear column t, restarting whenever a smaller remainder shows up.
+            restart = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    add_row(t, i, -q)
+                    if m[i][t] != 0:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    q = m[t][j] // m[t][t]
+                    add_col(t, j, -q)
+                    if m[t][j] != 0:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # Pivot must divide the rest of the submatrix; pull a bad row up.
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if m[i][j] % m[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if m[t][t] < 0:
+            for j in range(cols):
+                m[t][j] = -m[t][j]
+            for j in range(rows):
+                u[t][j] = -u[t][j]
+        t += 1
+
+    return SmithDecomposition(
+        tuple(tuple(r) for r in u),
+        tuple(tuple(r) for r in m),
+        tuple(tuple(r) for r in v),
+    )
+
+
+def bowen_franks_by_determinant(a: Sequence[Sequence[int]]) -> SignedBFGroup:
+    """Signed Bowen-Franks data of an adjacency matrix."""
+    mat = as_matrix(a, square=True)
+    n = len(mat)
+    b = mat_sub(identity(n), mat)
+    det = determinant(b)
+    sign = 0 if det == 0 else (1 if det > 0 else -1)
+    diag = smith_normal_form_by_closures(b).diagonal
+    return SignedBFGroup(sign, tuple(d for d in diag if d != 1))
+
+
+def is_irreducible_by_tarjan(a: Sequence[Sequence[int]]) -> bool:
+    """Every index reaches every index through positive powers."""
+    return from_adjacency(_check_adjacency(a)).is_strongly_connected()
+
+
+def franks_decide_by_graphs(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """Flow equivalence of two irreducible edge shifts by invariant match.
+
+    Only meaningful for irreducible matrices that are not single
+    orbits; anything else is rejected rather than misclassified.
+    """
+    for name, mat in (("first", a), ("second", b)):
+        if not is_irreducible_by_tarjan(mat):
+            raise PreconditionError(f"{name} matrix is not irreducible")
+        if is_single_orbit(mat):
+            raise PreconditionError(f"{name} matrix presents a single periodic orbit")
+    return bowen_franks_by_determinant(a) == bowen_franks_by_determinant(b)

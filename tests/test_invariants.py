@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import time
 from math import gcd
 
 import pytest
@@ -9,15 +11,24 @@ from shiftflow import (
     PreconditionError,
     SignedBFGroup,
     bowen_franks,
+    cli,
     determinant,
     expansion_move,
     franks_decide,
     smith_normal_form,
     verify_elementary_equivalence,
 )
+from shiftflow.graphs import DirectedGraph
 from shiftflow.invariants import identity, is_irreducible_matrix, is_single_orbit, mat_mul
 
-from .oracles import det_by_permutations, minor_gcd
+from .oracles import (
+    bowen_franks_by_determinant,
+    det_by_permutations,
+    franks_decide_by_graphs,
+    is_irreducible_by_tarjan,
+    minor_gcd,
+    smith_normal_form_by_closures,
+)
 
 FIB = [[1, 1], [1, 0]]
 
@@ -210,3 +221,150 @@ def test_minor_gcd_oracle_sanity():
     assert minor_gcd([[2, 0], [0, 4]], 1) == 2
     assert minor_gcd([[2, 0], [0, 4]], 2) == 8
     assert gcd(0, 5) == 5
+
+
+def _outcome(f, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("value", f(*args))
+    except Exception as exc:  # any exception type is part of the behaviour compared
+        return ("raised", type(exc), str(exc))
+
+
+def _diff_matrix(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    kind = rng.randrange(5)
+    if kind == 0:
+        m = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
+    elif kind == 1:
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+    elif kind == 2:
+        density = rng.random()
+        m = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+    elif kind == 3:
+        m = [[rng.randint(0, 3) if rng.random() < 0.5 else 0 for _ in range(cols)] for _ in range(rows)]
+    else:
+        # rank at most 2, so Smith forms with zero divisors
+        x = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(rows)]
+        y = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(2)]
+        m = [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(cols)] for i in range(rows)]
+    if rows and cols and rng.random() < 0.2:
+        m[rng.randrange(rows)] = [0] * cols
+    if rows and cols and rng.random() < 0.2:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def _diff_square(rng: random.Random, n: int) -> list[list[int]]:
+    """A square matrix for the Bowen-Franks and Franks entry points:
+    arbitrary, nonnegative, irreducible by a cycle, or a permutation."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _diff_matrix(rng, n, n)
+    if kind == 1:
+        return [[rng.randint(0, 2) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+    if kind == 2:
+        return _rand_irreducible(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+
+
+def test_one_elimination_agrees_with_the_transform_keeping_oracles():
+    """Smith forms, Bowen-Franks data, irreducibility and Franks verdicts
+    equal those of the earlier implementation (full Smith transforms, a
+    Bareiss determinant and a multigraph per matrix), exceptions
+    included."""
+    rng = random.Random(43)
+    cases = 0
+    for _ in range(2400):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        if rng.random() < 0.5:
+            cols = rows
+        a = _diff_matrix(rng, rows, cols)
+        mat = tuple(tuple(r) for r in a) if rows else ()
+        assert smith_normal_form(mat) == smith_normal_form_by_closures(mat), a
+        assert smith_normal_form(a) == smith_normal_form_by_closures(a), a
+        if rng.random() < 0.05 and rows > 1:
+            a[rng.randrange(1, rows)].append(1)  # ragged
+        for lib, ref in (
+            (bowen_franks, bowen_franks_by_determinant),
+            (is_irreducible_matrix, is_irreducible_by_tarjan),
+        ):
+            assert _outcome(lib, a) == _outcome(ref, a), (lib.__name__, a)
+        cases += 1
+    verdicts = set()
+    for _ in range(1200):
+        a = _diff_square(rng, rng.randint(0, 7))
+        b = _diff_square(rng, rng.randint(0, 7)) if rng.random() < 0.6 else None
+        if b is None:
+            # an expansion move keeps the invariants, so some pairs are equivalent
+            pos = [(i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x > 0]
+            b = expansion_move(a, *rng.choice(pos)) if pos and min(map(min, a)) >= 0 else a
+        if rng.random() < 0.05:
+            b = [row[:-1] for row in b] or [[1, 2]]  # not square
+        for m in (a, b):
+            assert _outcome(bowen_franks, m) == _outcome(bowen_franks_by_determinant, m), m
+            assert _outcome(is_irreducible_matrix, m) == _outcome(is_irreducible_by_tarjan, m), m
+        got = _outcome(franks_decide, a, b)
+        assert got == _outcome(franks_decide_by_graphs, a, b), (a, b)
+        verdicts.add(got[:2] if got[0] == "value" else got[1])
+        cases += 1
+    assert cases >= 2000
+    assert {("value", True), ("value", False), PreconditionError} <= verdicts
+
+
+BIG = 10**12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: franks_decide([[BIG, 1], [1, 0]], [[BIG, 1], [1, 0]]),
+        lambda: is_irreducible_matrix([[BIG, 1], [1, 0]]),
+        lambda: bowen_franks([[BIG, 1], [1, 0]]),
+    ],
+    ids=["franks_decide", "is_irreducible_matrix", "bowen_franks"],
+)
+def test_large_entries_answer_within_a_second(call):
+    start = time.perf_counter()
+    assert call()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["fe", "decide-sft", f"[[{BIG},1],[1,0]]", f"[[1,{BIG}],[1,0]]"], {"flow_equivalent": True}),
+        (["invariant", "bf", f"[[{BIG},1],[1,0]]"], None),
+    ],
+    ids=["fe decide-sft", "invariant bf"],
+)
+def test_cli_on_large_entries_answers_within_a_second(capsys, argv, expected):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    if expected is not None:
+        assert out == expected
+    assert elapsed < 1.0
+
+
+def test_franks_decide_builds_no_graph(monkeypatch):
+    """Irreducibility is read from the matrix support, never from a
+    multigraph with one edge per unit of each entry."""
+    built = []
+    post_init = DirectedGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DirectedGraph, "__post_init__", counting)
+    a = [[3, 1, 0], [0, 0, 2], [1, 1, 0]]
+    assert franks_decide(a, expansion_move(a, 0, 0)) is True
+    assert not built
+    assert franks_decide_by_graphs(a, a) is True
+    assert built  # the counter does see graphs being built
