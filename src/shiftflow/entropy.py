@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, repeat
 from math import log2
+from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInput, NonConvergenceError
-from .graphs import DirectedGraph, from_adjacency, path_count
+from .graphs import DirectedGraph, _adjacency_rows, from_adjacency, path_count
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, determinize
 from .sft import ForbiddenSetSFT, _edge_shift, _short_words, language_count
@@ -60,9 +62,19 @@ def _power_iteration_rho(rows: Sequence[Sequence[tuple[int, int]]], tol: float, 
     the +1 is subtracted at the end.  Convergence is judged by the
     Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho <= max_i (Bv)_i/v_i,
     which cannot close before v is the eigenvector; the raw eigenvalue
-    estimate can plateau while the vector is still moving.  Each row sum
-    adds its nonzero terms in increasing j, so every float equals the
-    one the dense product gives: adding 0.0 changes no float.
+    estimate can plateau while the vector is still moving.
+
+    Set-up groups the rows of A + I by term count and renumbers the
+    positions so each group is one run; per group and term position it
+    keeps the columns, and the multiplicities unless all are 1.  An
+    iteration is then a few `map` passes over those lists.  Each row sum
+    still starts from its term of least column and adds the rest in
+    increasing column order, and 1 * x is x, so every float equals the
+    one the dense product gives (adding 0.0 changes no float), as long as
+    `sum` adds floats left to right (CPython before 3.12).  The ratios,
+    min, max and the rescaling do not depend on the order of positions,
+    so the iterates, the iteration count and the result are those of a
+    loop that sums each row with `sum`.
     """
     n = len(rows)
     b = []
@@ -70,27 +82,65 @@ def _power_iteration_rho(rows: Sequence[Sequence[tuple[int, int]]], tol: float, 
         merged = dict(row)
         merged[i] = merged.get(i, 0) + 1
         b.append(sorted(merged.items()))
+    order = sorted(range(n), key=[len(row) for row in b].__getitem__)
+    at = [0] * n
+    for p, i in enumerate(order):
+        at[i] = p
+    groups = []
+    for _, members in groupby([b[i] for i in order], len):
+        terms = []
+        # A list, not the iterator, so the argument tuple is not grown
+        # from a generator (see `invariants.as_matrix`).
+        for column in zip(*list(members)):
+            ks = [k for _, k in column]
+            terms.append(([at[j] for j, _ in column], ks if max(ks) > 1 else None))
+        groups.append(terms)
     vec = [1.0] * n
     for _ in range(max_iterations):
-        nxt = [sum(k * vec[j] for j, k in row) for row in b]
-        ratios = [w / v for w, v in zip(nxt, vec)]
+        get = vec.__getitem__
+        nxt: list[float] = []
+        for terms in groups:
+            acc = None
+            for cols, ks in terms:
+                term = map(get, cols) if ks is None else map(mul, ks, map(get, cols))
+                acc = term if acc is None else map(add, acc, term)
+            nxt += acc
+        ratios = list(map(truediv, nxt, vec))
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol * max(1.0, hi):
             return (lo + hi) / 2.0 - 1.0
-        top = max(nxt)
-        vec = [v / top for v in nxt]
+        vec = list(map(truediv, nxt, repeat(max(nxt), n)))
     raise NonConvergenceError(
         f"power iteration did not settle within {max_iterations} iterations", max_iterations
     )
 
 
+def _component_rows(obj) -> list[Sequence[Sequence[tuple[int, int]]]]:
+    """`sparse_adjacency` rows of each strongly connected component that
+    has an edge.
+
+    A matrix is read from its entries: the components come from one edge
+    per nonzero entry, and each row pairs its columns with their entries,
+    so the work is bounded by the matrix size, not by its entries.  The
+    rows equal those of the components of `from_adjacency(matrix)`.
+    """
+    if isinstance(obj, (ForbiddenSetSFT, DirectedGraph, LabeledGraph)):
+        return [comp.sparse_adjacency() for comp in _as_graph(obj).strongly_connected_components()]
+    rows = _adjacency_rows(obj)
+    support = DirectedGraph.build(range(len(rows)), [(i, j) for i, row in enumerate(rows) for j, _ in row])
+    out = []
+    for comp in support.strongly_connected_components():
+        vs = comp.vertices
+        out.append([[(p, obj[i][vs[p]]) for p, _ in row] for i, row in zip(vs, comp.sparse_adjacency())])
+    return out
+
+
 def perron_entropy(obj, tol: float = 1e-12, max_iterations: int = 100_000) -> EntropyEstimate:
     """Entropy as log2 of the largest spectral radius over the strongly
     connected components.  A graph with no cycles has entropy 0."""
-    graph = _as_graph(obj)
     rho = 1.0
-    for comp in graph.strongly_connected_components():
-        rho = max(rho, _power_iteration_rho(comp.sparse_adjacency(), tol, max_iterations))
+    for rows in _component_rows(obj):
+        rho = max(rho, _power_iteration_rho(rows, tol, max_iterations))
     return EntropyEstimate(log2(rho) if rho > 1.0 else 0.0, "perron")
 
 

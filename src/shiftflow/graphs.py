@@ -39,7 +39,9 @@ class DirectedGraph:
     @classmethod
     def build(cls, vertices: Iterable[Vertex], arcs: Iterable[tuple[Vertex, Vertex]]) -> "DirectedGraph":
         """Make a graph from (src, dst) pairs; edge ids follow input order."""
-        return cls(tuple(vertices), tuple(Edge(s, d, i) for i, (s, d) in enumerate(arcs)))
+        # Tuples on hot paths are built from lists, for the reason given
+        # in `invariants.as_matrix`.
+        return cls(tuple(vertices), tuple([Edge(s, d, i) for i, (s, d) in enumerate(arcs)]))
 
     @cached_property
     def _out(self) -> dict[Vertex, tuple[Edge, ...]]:
@@ -80,7 +82,7 @@ class DirectedGraph:
         m = [[0] * n for _ in range(n)]
         for e in self.edges:
             m[idx[e.src]][idx[e.dst]] += 1
-        return tuple(tuple(row) for row in m)
+        return tuple([tuple(row) for row in m])
 
     def sparse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Rows of `adjacency_matrix` without the zeros: row i lists the
@@ -179,18 +181,26 @@ def scc_decompose(graph: DirectedGraph) -> list[DirectedGraph]:
     return graph.strongly_connected_components()
 
 
-def from_adjacency(matrix: Sequence[Sequence[int]]) -> DirectedGraph:
-    """Graph on vertices 0..n-1 with matrix[i][j] parallel edges i -> j."""
+def _adjacency_rows(matrix: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Rows of a square matrix of nonnegative integers as the (j, entry)
+    pairs with a nonzero entry, in increasing j."""
     n = len(matrix)
-    arcs: list[tuple[int, int]] = []
+    rows = []
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise InvalidInput("adjacency matrix must be square")
         for j, k in enumerate(row):
             if not isinstance(k, int) or k < 0:
                 raise InvalidInput(f"entry ({i}, {j}) must be a nonnegative integer")
-            arcs.extend((i, j) for _ in range(k))
-    return DirectedGraph.build(range(n), arcs)
+        rows.append([(j, k) for j, k in enumerate(row) if k])
+    return rows
+
+
+def from_adjacency(matrix: Sequence[Sequence[int]]) -> DirectedGraph:
+    """Graph on vertices 0..n-1 with matrix[i][j] parallel edges i -> j."""
+    rows = _adjacency_rows(matrix)
+    arcs = [(i, j) for i, row in enumerate(rows) for j, k in row for _ in range(k)]
+    return DirectedGraph.build(range(len(rows)), arcs)
 
 
 def path_count(graph: DirectedGraph, length: int) -> int:

@@ -45,14 +45,14 @@ def labeled_graph(vertices, arcs) -> LabeledGraph:
     """Build from (src, dst, label) triples."""
     triples = list(arcs)
     g = DirectedGraph.build(vertices, [(s, d) for s, d, _ in triples])
-    return LabeledGraph(g, tuple(lab for _, _, lab in triples))
+    return LabeledGraph(g, tuple([lab for _, _, lab in triples]))
 
 
 def sft_presentation(x: ForbiddenSetSFT) -> LabeledGraph:
     """Right-resolving presentation of an SFT: the edge-shift graph with
     each edge labeled by the last symbol of its word."""
     data = _edge_shift(x)
-    return LabeledGraph(data.graph, tuple(w[-1] for w in data.edge_words))
+    return LabeledGraph(data.graph, tuple([w[-1] for w in data.edge_words]))
 
 
 def is_right_resolving(lg: LabeledGraph) -> bool:
@@ -106,7 +106,7 @@ def _subset_automaton(
             arcs.append((seen[s], seen[nxt], a))
     vertices = [seen[s] for s in states]
     g = DirectedGraph.build(vertices, [(s, d) for s, d, _ in arcs])
-    return g, tuple(a for _, _, a in arcs), seen[seed]
+    return g, tuple([a for _, _, a in arcs]), seen[seed]
 
 
 def determinize(lg: LabeledGraph) -> LabeledGraph:
@@ -131,7 +131,7 @@ def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
     while True:
         renumber: dict[tuple, int] = {}
         new = {
-            v: renumber.setdefault((classes[v], tuple((a, classes[t]) for a, t in out)), len(renumber))
+            v: renumber.setdefault((classes[v], tuple([(a, classes[t]) for a, t in out])), len(renumber))
             for v, out in step.items()
         }
         if new == classes:

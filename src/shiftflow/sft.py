@@ -95,7 +95,7 @@ def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
     m = x.step
     words = _admissible_words(x.alphabet, x.forbidden, m + 1)
     vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
-    edges = tuple(Edge(w[:m], w[1:], i) for i, w in enumerate(words))
+    edges = tuple([Edge(w[:m], w[1:], i) for i, w in enumerate(words)])
     graph = DirectedGraph(tuple(vertices), edges).essential_part()
     edge_words = tuple(words)
     live = frozenset(edge_words[e.eid] for e in graph.edges)

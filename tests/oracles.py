@@ -13,7 +13,9 @@ window one position at a time through membership callables, from
 and the matrix invariants that kept both Smith transforms, took the sign
 from a Bareiss determinant and read irreducibility from a multigraph with
 one edge per unit of each entry, from `smith_normal_form_by_closures` to
-`franks_decide_by_graphs`.  Deliberately slow.
+`franks_decide_by_graphs`; and the Perron power loop that built one
+generator per row on every iteration, `power_iteration_rho_by_generators`.
+Deliberately slow.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, Sequence
 
-from shiftflow.errors import InvalidInput, PartialBlockMapError, PreconditionError
+from shiftflow.errors import InvalidInput, NonConvergenceError, PartialBlockMapError, PreconditionError
 from shiftflow.graphs import DirectedGraph, Edge, from_adjacency
 from shiftflow.invariants import (
     Matrix,
@@ -251,6 +253,40 @@ def power_iteration_rho_dense(a: list[list[int]], tol: float, max_iterations: in
         top = max(nxt)
         vec = [v / top for v in nxt]
     raise ArithmeticError(f"power iteration did not settle within {max_iterations} iterations")
+
+
+def power_iteration_rho_by_generators(
+    rows: Sequence[Sequence[tuple[int, int]]], tol: float, max_iterations: int
+) -> float:
+    """Spectral radius of an irreducible nonnegative matrix, given as the
+    rows of `DirectedGraph.sparse_adjacency`.
+
+    Iterates on A + I, which is primitive, so convergence is assured;
+    the +1 is subtracted at the end.  Convergence is judged by the
+    Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho <= max_i (Bv)_i/v_i,
+    which cannot close before v is the eigenvector; the raw eigenvalue
+    estimate can plateau while the vector is still moving.  Each row sum
+    adds its nonzero terms in increasing j, so every float equals the
+    one the dense product gives: adding 0.0 changes no float.
+    """
+    n = len(rows)
+    b = []
+    for i, row in enumerate(rows):
+        merged = dict(row)
+        merged[i] = merged.get(i, 0) + 1
+        b.append(sorted(merged.items()))
+    vec = [1.0] * n
+    for _ in range(max_iterations):
+        nxt = [sum(k * vec[j] for j, k in row) for row in b]
+        ratios = [w / v for w, v in zip(nxt, vec)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol * max(1.0, hi):
+            return (lo + hi) / 2.0 - 1.0
+        top = max(nxt)
+        vec = [v / top for v in nxt]
+    raise NonConvergenceError(
+        f"power iteration did not settle within {max_iterations} iterations", max_iterations
+    )
 
 
 def path_count_dense(a: list[list[int]], length: int) -> int:

@@ -5,9 +5,11 @@
 PARENT and CHANGE are roots of two shiftflow checkouts.  Each pair runs
 `perfbench/run.py --trace 0` once in each checkout, one after the other;
 the order flips every pair, so a drift of the host's speed does not
-favour one side.  For every run it prints `correct`, `failed` and the
-number of rounds; then, per end-to-end metric, each side's median and
-quartiles, and how many pairs the change won on `throughput_ops_s`.
+favour one side.  For every run it prints `correct`, `failed`, the
+number of rounds and `peak_rss_mib`, so memory can be read against the
+round count pair by pair; then, per end-to-end metric, each side's
+median and quartiles, and how many pairs the change won on
+`throughput_ops_s`.
 Nothing in either checkout is written except what a benchmark run
 writes itself.  Stdlib only.
 """
@@ -62,9 +64,10 @@ def main(argv: list[str]) -> int:
         for side in order:
             result = run_once(sides[side], args.workload, args.seed, args.seconds)
             runs[side].append(result)
-            tput = result["metrics"]["throughput_ops_s"]["value"]
+            metrics = result["metrics"]
             print(f"pair {i + 1} {side}: correct {str(result['correct']).lower()}, failed {result['failed']}, "
-                  f"rounds {result['rounds']}, throughput_ops_s {tput:.6g}", flush=True)
+                  f"rounds {result['rounds']}, peak_rss_mib {metrics['peak_rss_mib']['value']:.6g}, "
+                  f"throughput_ops_s {metrics['throughput_ops_s']['value']:.6g}", flush=True)
     print(f"\n{args.workload}, {args.pairs} pairs: median [q1, q3]")
     for name, metric in runs["parent"][0]["metrics"].items():
         cells = []
