@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import groupby, islice, repeat
 from math import log2
 from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInput, NonConvergenceError
-from .graphs import DirectedGraph, _adjacency_rows, from_adjacency, path_count
+from .graphs import DirectedGraph, _adjacency_rows, _components, _walks, from_adjacency, path_count
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, determinize
 from .sft import ForbiddenSetSFT, _edge_shift, _short_words, language_count
@@ -34,6 +34,15 @@ def _as_graph(obj) -> DirectedGraph:
     return from_adjacency(obj)
 
 
+def _rows(obj) -> Sequence[Sequence[tuple[int, int]]]:
+    """Index rows of a shift, graph or matrix: `sparse_adjacency` of its
+    graph, or for a matrix the rows of its own entries, so the work is
+    bounded by the matrix size, not by its entries."""
+    if isinstance(obj, (ForbiddenSetSFT, DirectedGraph, LabeledGraph)):
+        return _as_graph(obj).sparse_adjacency()
+    return _adjacency_rows(obj)
+
+
 def entropy_word_count(obj, n: int) -> EntropyEstimate:
     """Entropy estimate log2(|B_n|) / n from one exact word count.
 
@@ -48,7 +57,7 @@ def entropy_word_count(obj, n: int) -> EntropyEstimate:
     elif isinstance(obj, LabeledGraph):
         count = _sofic_word_counts(obj, n)[-1]
     else:
-        count = path_count(_as_graph(obj), n)
+        count = sum(next(islice(_walks(_rows(obj)), n, None)))
     if count == 0:
         return EntropyEstimate(0.0, "word_count", n, empty=True)
     return EntropyEstimate(log2(count) / n, "word_count", n)
@@ -115,23 +124,15 @@ def _power_iteration_rho(rows: Sequence[Sequence[tuple[int, int]]], tol: float, 
     )
 
 
-def _component_rows(obj) -> list[Sequence[Sequence[tuple[int, int]]]]:
-    """`sparse_adjacency` rows of each strongly connected component that
-    has an edge.
-
-    A matrix is read from its entries: the components come from one edge
-    per nonzero entry, and each row pairs its columns with their entries,
-    so the work is bounded by the matrix size, not by its entries.  The
-    rows equal those of the components of `from_adjacency(matrix)`.
-    """
-    if isinstance(obj, (ForbiddenSetSFT, DirectedGraph, LabeledGraph)):
-        return [comp.sparse_adjacency() for comp in _as_graph(obj).strongly_connected_components()]
-    rows = _adjacency_rows(obj)
-    support = DirectedGraph.build(range(len(rows)), [(i, j) for i, row in enumerate(rows) for j, _ in row])
+def _component_rows(obj) -> list[list[list[tuple[int, int]]]]:
+    """Index rows of each strongly connected component that has an edge,
+    renumbered within the component in increasing order: the rows of
+    `sparse_adjacency` of that component's subgraph."""
+    rows = _rows(obj)
     out = []
-    for comp in support.strongly_connected_components():
-        vs = comp.vertices
-        out.append([[(p, obj[i][vs[p]]) for p, _ in row] for i, row in zip(vs, comp.sparse_adjacency())])
+    for comp in _components(rows):
+        at = {i: p for p, i in enumerate(comp)}
+        out.append([[(at[j], k) for j, k in rows[i] if j in at] for i in comp])
     return out
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInput
 
@@ -98,77 +99,23 @@ class DirectedGraph:
         return tuple(rows)
 
     def strongly_connected_components(self) -> list["DirectedGraph"]:
-        """SCC subgraphs that contain at least one edge, as separate graphs.
-
-        Iterative Tarjan; component order is deterministic given vertex order.
-        """
-        index: dict[Vertex, int] = {}
-        low: dict[Vertex, int] = {}
-        on_stack: dict[Vertex, bool] = {}
-        stack: list[Vertex] = []
-        components: list[list[Vertex]] = []
-        counter = 0
-        succ = self._out
-
-        for root in self.vertices:
-            if root in index:
-                continue
-            work = [(root, iter(succ[root]))]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            while work:
-                v, it = work[-1]
-                advanced = False
-                for e in it:
-                    w = e.dst
-                    if w not in index:
-                        index[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack[w] = True
-                        work.append((w, iter(succ[w])))
-                        advanced = True
-                        break
-                    elif on_stack.get(w, False):
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(comp)
-
-        comp_of = {v: c for c, comp in enumerate(components) for v in comp}
-        comp_edges: list[list[Edge]] = [[] for _ in components]
+        """SCC subgraphs that contain at least one edge, as separate graphs,
+        in the order of their first vertex; edges keep their ids and order."""
+        comps = _components(self.sparse_adjacency())
+        comp_of = {self.vertices[i]: c for c, comp in enumerate(comps) for i in comp}
+        comp_edges: list[list[Edge]] = [[] for _ in comps]
         for e in self.edges:
-            if comp_of[e.src] == comp_of[e.dst]:
-                comp_edges[comp_of[e.src]].append(e)
-        out: list[DirectedGraph] = []
-        order = {v: i for i, v in enumerate(self.vertices)}
-        for comp, edges in zip(components, comp_edges):
-            if not edges:
-                continue
-            comp_sorted = tuple(sorted(comp, key=order.__getitem__))
-            out.append(DirectedGraph(comp_sorted, tuple(edges)))
-        out.sort(key=lambda g: order[g.vertices[0]])
-        return out
+            c = comp_of.get(e.src)
+            if c is not None and c == comp_of.get(e.dst):
+                comp_edges[c].append(e)
+        return [
+            DirectedGraph(tuple([self.vertices[i] for i in comp]), tuple(edges))
+            for comp, edges in zip(comps, comp_edges)
+        ]
 
     def is_strongly_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        comps = self.strongly_connected_components()
-        return len(comps) == 1 and len(comps[0].vertices) == len(self.vertices)
+        comps = _components(self.sparse_adjacency())
+        return len(comps) == 1 and len(comps[0]) == len(self.vertices)
 
 
 def essentialize(graph: DirectedGraph) -> DirectedGraph:
@@ -183,17 +130,84 @@ def scc_decompose(graph: DirectedGraph) -> list[DirectedGraph]:
 
 def _adjacency_rows(matrix: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
     """Rows of a square matrix of nonnegative integers as the (j, entry)
-    pairs with a nonzero entry, in increasing j."""
+    pairs with a nonzero entry, in increasing j: the index rows that
+    `DirectedGraph.sparse_adjacency` gives for `from_adjacency(matrix)`."""
     n = len(matrix)
     rows = []
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise InvalidInput("adjacency matrix must be square")
         for j, k in enumerate(row):
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise InvalidInput(f"entry ({i}, {j}) must be a nonnegative integer")
         rows.append([(j, k) for j, k in enumerate(row) if k])
     return rows
+
+
+def _components(rows: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
+    """Strongly connected components that contain at least one edge, of
+    the graph with these index rows: each one its indices in increasing
+    order, the components in the order of their least index.
+
+    Iterative Tarjan on list indices.
+    """
+    n = len(rows)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(rows[root]))]
+        while work:
+            v, it = work[-1]
+            for w, _ in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(rows[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    if len(comp) > 1 or any(j == v for j, _ in rows[v]):
+                        components.append(sorted(comp))
+    components.sort()
+    return components
+
+
+def _walks(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:
+    """A^k 1 for k = 0, 1, 2, ..., A the matrix with these index rows:
+    entry i counts the paths of k edges that start at index i.
+
+    Repeated matrix-vector products with Python integers, so no overflow
+    and no powers of the matrix.
+    """
+    vec = [1] * len(rows)
+    while True:
+        yield vec
+        vec = [sum(k * vec[j] for j, k in row) for row in rows]
 
 
 def from_adjacency(matrix: Sequence[Sequence[int]]) -> DirectedGraph:
@@ -204,18 +218,7 @@ def from_adjacency(matrix: Sequence[Sequence[int]]) -> DirectedGraph:
 
 
 def path_count(graph: DirectedGraph, length: int) -> int:
-    """Number of directed paths with `length` edges, exactly.
-
-    Computed as ones^T A^k ones by repeated matrix-vector products with
-    Python integers, so no overflow and no cubing of the matrix.
-    """
+    """Number of directed paths with `length` edges, exactly."""
     if length < 0:
         raise InvalidInput("path length must be nonnegative")
-    n = len(graph.vertices)
-    if n == 0:
-        return 0
-    rows = graph.sparse_adjacency()
-    vec = [1] * n
-    for _ in range(length):
-        vec = [sum(k * vec[j] for j, k in row) for row in rows]
-    return sum(vec)
+    return sum(next(islice(_walks(graph.sparse_adjacency()), length, None)))

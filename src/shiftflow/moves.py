@@ -168,7 +168,7 @@ def _image(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> Forbid
 
 
 def _check_pair_condition(x: ForbiddenSetSFT, anchor: str, removed: str) -> None:
-    for u in sorted(set(enumerate_language(x, 2))):
+    for u in enumerate_language(x, 2):
         if u[0] == anchor and u[1] != removed:
             raise PreconditionError(
                 f"{anchor!r} is followed by {u[1]!r} (witness {u!r}); it must always precede {removed!r}"

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InvalidInput, PreconditionError
-from .graphs import DirectedGraph, Edge, Vertex
+from .graphs import DirectedGraph, Edge, Vertex, _walks
 from .sft import ForbiddenSetSFT, _edge_shift, _unambiguous_word
 from .words import EMPTY_WORD, Word
 
@@ -155,7 +156,7 @@ def _quotient(lg: LabeledGraph, classes: dict[Vertex, int]) -> LabeledGraph:
 
 def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
     """|B_n| for n = 1 .. upto: paths of length n from the seed of the
-    subset automaton of the essential part.
+    subset automaton of the essential part, the seed's entry of A^n 1.
 
     Counting must run on the essential part: a label path that dead-ends
     is readable but belongs to no point.
@@ -164,19 +165,8 @@ def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
     if not ess.graph.vertices:
         return [0] * upto
     g, _, seed = _subset_automaton(ess)
-    rows = g.sparse_adjacency()
-    vec = [0] * len(rows)
-    vec[g.vertices.index(seed)] = 1
-    counts = []
-    for _ in range(upto):
-        nxt = [0] * len(rows)
-        for c, row in zip(vec, rows):
-            if c:
-                for j, k in row:
-                    nxt[j] += c * k
-        vec = nxt
-        counts.append(sum(vec))
-    return counts
+    at = g.vertices.index(seed)
+    return [vec[at] for vec in islice(_walks(g.sparse_adjacency()), 1, upto + 1)]
 
 
 def _same_shift(p: LabeledGraph, q: LabeledGraph) -> bool:

@@ -286,6 +286,9 @@ def detect_eventual_periodicity(s: SampledGaps) -> EventuallyPeriodicGaps | None
 
 
 def _signed_range(cap: int) -> Iterator[int]:
+    """0, 1, -1, 2, -2, ... up to cap: by increasing |r|, positive first,
+    so a search that keeps only strictly fewer removals ends with the
+    first r that reaches the least count."""
     yield 0
     for v in range(1, cap + 1):
         yield v
@@ -337,10 +340,10 @@ def _fe_equal_exact(
     cap = span + (bound + 2) * period
     # the widest window below is span + cap + 2N
     chi_a, chi_b = _mask(a, span + cap + 2 * period), _mask(b, span + cap + 2 * period)
-    best: tuple[tuple[int, int, int], int] | None = None
+    best_n, best_r = bound + 1, None
     for r in _signed_range(cap):
         # beyond the span, |r| alone forces at least one removal per period
-        if best is not None and (abs(r) - span) // period > best[0][0]:
+        if best_r is not None and (abs(r) - span) // period > best_n:
             break
         if {(t + r) % period for t in a.T} != want:
             continue
@@ -351,14 +354,11 @@ def _fe_equal_exact(
         # y of b only if y <= span + max(r, 0): both ranges cover them.
         forced_a, forced_b = _forced_removals(chi_a, chi_b, r, span + abs(r) + 2 * period)
         n = max(forced_a.bit_count(), forced_b.bit_count())
-        if n <= bound:
-            key = (n, abs(r), 0 if r >= 0 else 1)
-            if best is None or key < best[0]:
-                best = (key, r)
-    if best is None:
+        if n < best_n:
+            best_n, best_r = n, r
+    if best_r is None:
         return FEVerdict("unknown_up_to", bound=bound)
-    (n, _, _), r = best
-    return FEVerdict("equivalent", witness=(n, r))
+    return FEVerdict("equivalent", witness=(best_n, best_r))
 
 
 def _window_masks(s1: SGapSet, s2: SGapSet) -> tuple[int, int, int]:
@@ -396,19 +396,16 @@ def _fe_equal_window(s1: SGapSet, s2: SGapSet, bound: int) -> FEVerdict:
     half = window // 2
     if window < 4:
         return FEVerdict("unknown_up_to", bound=window)
-    best: tuple[tuple[int, int, int], int] | None = None
+    best_n, best_r = bound + 1, None
     for r in _signed_range(min(bound, window - half)):
         forced_a, forced_b = _forced_removals(a, b, r, window)
         if max(forced_a.bit_length(), forced_b.bit_length()) - 1 > half:
             continue
         n = max(forced_a.bit_count(), forced_b.bit_count())
-        if n <= bound:
-            key = (n, abs(r), 0 if r >= 0 else 1)
-            if best is None or key < best[0]:
-                best = (key, r)
-    if best is not None:
-        (n, _, _), r = best
-        return FEVerdict("equivalent", witness=(n, r))
+        if n < best_n:
+            best_n, best_r = n, r
+    if best_r is not None:
+        return FEVerdict("equivalent", witness=(best_n, best_r))
     return FEVerdict("not_equivalent_up_to", bound=window)
 
 

@@ -14,7 +14,8 @@ and the matrix invariants that kept both Smith transforms, took the sign
 from a Bareiss determinant and read irreducibility from a multigraph with
 one edge per unit of each entry, from `smith_normal_form_by_closures` to
 `franks_decide_by_graphs`; and the Perron power loop that built one
-generator per row on every iteration, `power_iteration_rho_by_generators`.
+generator per row on every iteration, `power_iteration_rho_by_generators`;
+and the Tarjan search on vertex-keyed dicts, `components_by_vertex`.
 Deliberately slow.
 """
 from __future__ import annotations
@@ -975,9 +976,85 @@ def bowen_franks_by_determinant(a: Sequence[Sequence[int]]) -> SignedBFGroup:
     return SignedBFGroup(sign, tuple(d for d in diag if d != 1))
 
 
+def components_by_vertex(graph: DirectedGraph) -> list[DirectedGraph]:
+    """SCC subgraphs that contain at least one edge, as separate graphs.
+
+    Iterative Tarjan on vertex-keyed dicts; component order is
+    deterministic given vertex order.
+    """
+    index: dict = {}
+    low: dict = {}
+    on_stack: dict = {}
+    stack: list = []
+    components: list[list] = []
+    counter = 0
+    succ = {v: graph.out_edges(v) for v in graph.vertices}
+
+    for root in graph.vertices:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for e in it:
+                w = e.dst
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                elif on_stack.get(w, False):
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(comp)
+
+    comp_of = {v: c for c, comp in enumerate(components) for v in comp}
+    comp_edges: list[list[Edge]] = [[] for _ in components]
+    for e in graph.edges:
+        if comp_of[e.src] == comp_of[e.dst]:
+            comp_edges[comp_of[e.src]].append(e)
+    out: list[DirectedGraph] = []
+    order = {v: i for i, v in enumerate(graph.vertices)}
+    for comp, edges in zip(components, comp_edges):
+        if not edges:
+            continue
+        comp_sorted = tuple(sorted(comp, key=order.__getitem__))
+        out.append(DirectedGraph(comp_sorted, tuple(edges)))
+    out.sort(key=lambda g: order[g.vertices[0]])
+    return out
+
+
+def is_strongly_connected_by_vertex(graph: DirectedGraph) -> bool:
+    if not graph.vertices:
+        return False
+    comps = components_by_vertex(graph)
+    return len(comps) == 1 and len(comps[0].vertices) == len(graph.vertices)
+
+
 def is_irreducible_by_tarjan(a: Sequence[Sequence[int]]) -> bool:
     """Every index reaches every index through positive powers."""
-    return from_adjacency(_check_adjacency(a)).is_strongly_connected()
+    return is_strongly_connected_by_vertex(from_adjacency(_check_adjacency(a)))
 
 
 def franks_decide_by_graphs(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:

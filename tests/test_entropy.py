@@ -32,6 +32,7 @@ from shiftflow import (
 from shiftflow.entropy import _power_iteration_rho
 from shiftflow.presentations import _sofic_word_counts, _subset_automaton
 
+from . import oracles
 from .oracles import counts_from_dense, path_count_dense, power_iteration_rho_dense, spectral_radius_by_iteration
 
 LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
@@ -197,34 +198,86 @@ def _dense(g: DirectedGraph) -> list[list[int]]:
 
 
 def test_sparse_graph_core_matches_dense_oracles():
-    """Perron roots equal the dense loop's float for float; path and
-    sofic word counts equal the dense products exactly."""
+    """Components equal the vertex-keyed Tarjan's, vertex and edge tuples
+    alike; Perron roots equal the dense loop's float for float, per
+    component, and a matrix gives the float its `from_adjacency` graph
+    gives; path and sofic word counts equal the dense products exactly.
+    Reducible graphs, isolated vertices, self-loops, shuffled vertex
+    orders, the empty graph and matrix inputs included."""
     rng = random.Random(41)
-    graphs = []
+    matrices = []
     for _ in range(40):
         n = rng.randint(1, 7)
         m = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             m[i][(i + 1) % n] = max(m[i][(i + 1) % n], rng.randint(1, 2))
-        graphs.append(from_adjacency(m))
-    assert any(k > 1 for g in graphs for row in g.adjacency_matrix() for k in row)
+        matrices.append(m)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        matrices.append([[rng.choice((0, 0, 0, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
+    matrices += [[], [[0]], [[1]], [[0, 1], [0, 0]], [[1, 0], [0, 0]], [[0, 0, 0], [0, 2, 0], [1, 0, 0]]]
+    graphs = [from_adjacency(m) for m in matrices]
+    for _ in range(40):
+        vertices = rng.sample("abcdefgh", rng.randint(1, 8))
+        arcs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 12))]
+        graphs.append(DirectedGraph.build(vertices, arcs))
+    graphs.append(DirectedGraph((), ()))
     for base in ([[2]], [[3]], [[1, 1], [1, 0]]):
         graphs += [scale_entropy_construction(base, n) for n in range(1, 13)]
-    for g in graphs:
-        assert g.is_strongly_connected()
+    assert any(k > 1 for m in matrices for row in m for k in row)
+    connected = [g.is_strongly_connected() for g in graphs]
+    assert 100 < sum(connected) < len(graphs) - 60
+    assert any(any(not g.out_edges(v) for v in g.vertices) for g in graphs)
+    assert any(e.src == e.dst for g in graphs if not g.is_strongly_connected() for e in g.edges)
+    for g, strongly in zip(graphs, connected):
+        expected = oracles.components_by_vertex(g)
+        got = g.strongly_connected_components()
+        assert [(c.vertices, c.edges) for c in got] == [(c.vertices, c.edges) for c in expected]
+        assert strongly == oracles.is_strongly_connected_by_vertex(g)
         a = _dense(g)
-        assert _power_iteration_rho(g.sparse_adjacency(), 1e-12, 100_000) == power_iteration_rho_dense(a, 1e-12, 100_000)
+        if strongly:
+            assert _power_iteration_rho(g.sparse_adjacency(), 1e-12, 100_000) == power_iteration_rho_dense(a, 1e-12, 100_000)
+        rho = max([1.0] + [power_iteration_rho_dense(_dense(c), 1e-12, 100_000) for c in expected])
+        assert perron_entropy(g).value == (math.log2(rho) if rho > 1.0 else 0.0)
         for length in (0, 1, 2, 7):
             assert path_count(g, length) == path_count_dense(a, length)
+    for m in matrices:
+        assert perron_entropy(m) == perron_entropy(from_adjacency(m))
+        for n in (1, 3):
+            assert entropy_word_count(m, n) == entropy_word_count(from_adjacency(m), n)
 
-    for _ in range(40):
+    for k in range(80):
         n = rng.randint(1, 6)
-        arcs = [(i, (i + 1) % n, rng.choice("abc")) for i in range(n)]
+        arcs = [(i, (i + 1) % n, rng.choice("abc")) for i in range(n)] if k % 2 else []
         arcs += [(rng.randrange(n), rng.randrange(n), rng.choice("abc")) for _ in range(rng.randint(0, 2 * n))]
         lg = labeled_graph(range(n), arcs)
-        aut, _, seed = _subset_automaton(lg.essential_part())
-        expected = counts_from_dense(_dense(aut), aut.vertices.index(seed), 12)
+        ess = lg.essential_part()
+        if ess.graph.vertices:
+            aut, _, seed = _subset_automaton(ess)
+            expected = counts_from_dense(_dense(aut), aut.vertices.index(seed), 12)
+        else:
+            expected = [0] * 12
         assert _sofic_word_counts(lg, 12) == expected
+
+
+def test_matrix_entropy_builds_no_graph(monkeypatch):
+    """Perron roots and word counts of a matrix are read from its entries,
+    never from a multigraph with one edge per unit of each entry."""
+    built = []
+    post_init = DirectedGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DirectedGraph, "__post_init__", counting)
+    a = [[3, 1, 0], [0, 0, 2], [1, 1, 0]]
+    perron_entropy(a)
+    perron_entropy([[2, 1], [0, 1]])
+    entropy_word_count(a, 4)
+    assert not built
+    perron_entropy(from_adjacency(a))
+    assert built  # the counter does see graphs being built
 
 
 def test_boost_precondition_on_words_shorter_than_the_step():

@@ -16,6 +16,7 @@ import pytest
 
 from shiftflow import (
     NonConvergenceError,
+    entropy_word_count,
     from_adjacency,
     labeled_graph,
     minimal_right_resolving,
@@ -95,13 +96,15 @@ def test_perron_of_a_matrix_matches_the_unit_edge_graph():
 
 @pytest.mark.parametrize(
     "bad",
-    [[[1, 2]], [[1, 0], [0]], [[1, -1], [0, 1]], [[1, 0.5], [1, 1]], [[1, 1], [1, "1"]], [[-1], [1, 2]]],
+    [[[1, 2]], [[1, 0], [0]], [[1, -1], [0, 1]], [[1, 0.5], [1, 1]], [[1, 1], [1, "1"]], [[-1], [1, 2]], [[True]]],
 )
 def test_perron_of_a_matrix_rejects_what_from_adjacency_rejects(bad):
     with pytest.raises(Exception) as expected:
         from_adjacency(bad)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
         perron_entropy(bad)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        entropy_word_count(bad, 3)
 
 
 def test_perron_of_a_matrix_is_bounded_by_the_matrix_size(capsys):

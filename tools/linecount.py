@@ -5,11 +5,14 @@ this prints the total number of lines and the number of code lines: the
 lines that are not blank, not only a comment, and not part of a module,
 class or function docstring.  A last row sums the package.
 
-    python3 tools/linecount.py [PACKAGE_DIR]
+    python3 tools/linecount.py [PACKAGE_DIR [OTHER_DIR]]
 
-To report the net change of a commit, run it on a checkout of the commit
-and of its parent (for example `git archive <parent> | tar -x -C DIR`)
-and subtract the two `total` rows.  Stdlib only.
+Given a second package directory, for example a checkout of a parent
+commit (`git archive <parent> | tar -x -C DIR`) against the working
+tree, it prints the counts of both (`lines` and `code` for the first,
+`lines2` and `code2` for the second) and the change from the first to
+the second, per module and in total; a module missing on one side counts
+as zero lines there.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -44,14 +47,27 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
+def counts(package: Path) -> dict[str, tuple[int, int]]:
+    """(total lines, code lines) of every module of a package directory."""
+    return {path.name: count(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[0] if argv else "src/shiftflow")
-    rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in sorted(package.glob("*.py"))]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(r[0]) for r in rows)
-    print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
-    for name, total, code in rows:
-        print(f"{name:<{width}}  {total:>6}  {code:>6}")
+    sides = [counts(Path(arg)) for arg in (argv or ["src/shiftflow"])[:2]]
+    names = sorted(set().union(*sides))
+    table = [[side.get(name, (0, 0)) for side in sides] for name in names]
+    table.append([(sum(r[i][0] for r in table), sum(r[i][1] for r in table)) for i in range(len(sides))])
+    names.append("total")
+    if len(sides) == 1:
+        header = ["lines", "code"]
+        cells = [[total, code] for ((total, code),) in table]
+    else:
+        header = ["lines", "lines2", "delta", "code", "code2", "delta"]
+        cells = [[a[0], b[0], f"{b[0] - a[0]:+d}", a[1], b[1], f"{b[1] - a[1]:+d}"] for a, b in table]
+    width = max(len(name) for name in names + ["module"])
+    print(f"{'module':<{width}}" + "".join(f"  {h:>6}" for h in header))
+    for name, row in zip(names, cells):
+        print(f"{name:<{width}}" + "".join(f"  {c:>6}" for c in row))
     return 0
 
 
