@@ -88,6 +88,11 @@ class DirectedGraph:
     def sparse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Rows of `adjacency_matrix` without the zeros: row i lists the
         (j, entry) pairs with a nonzero entry, in increasing j."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """`sparse_adjacency`, built once per graph."""
         idx = {v: i for i, v in enumerate(self.vertices)}
         rows = []
         for v in self.vertices:

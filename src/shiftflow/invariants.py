@@ -1,8 +1,9 @@
 """Integer matrix invariants attached to edge shifts.
 
 Matrices are tuples of tuples of Python ints, so all arithmetic is
-exact.  The Smith normal form keeps its transforms (Bowen-Franks data
-needs only its diagonal), and every normalization choice here is
+exact.  One Smith elimination gives the normal form, the Bowen-Franks
+data and the determinant; irreducibility and single orbits come from the
+Tarjan search of `graphs`.  Every normalization choice here is
 deterministic: same input, same output.
 """
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInput, PreconditionError
+from .graphs import _components
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -50,30 +52,17 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def determinant(a: Matrix) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    """Exact integer determinant from one Smith elimination: U @ A @ V == D
+    gives det A = det U * det V * (d1 * ... * dn), and `_smith` returns
+    det U * det V, which is +1 or -1."""
     n = len(a)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in a):
         raise InvalidInput("determinant needs a square matrix")
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m = [list(r) for r in as_matrix(a)]
+    det = _smith(m)
+    for i in range(n):
+        det *= m[i][i]
+    return det
 
 
 class SmithDecomposition(NamedTuple):
@@ -202,9 +191,9 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     Pivot choice is the least |entry| in the working submatrix with
     row-major ties, so the decomposition is reproducible.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(r) for r in a]
+    m = [list(r) for r in as_matrix(a)]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
     _smith(m, u, v)
@@ -273,19 +262,9 @@ def is_irreducible_matrix(a: Sequence[Sequence[int]]) -> bool:
 
 
 def _irreducible(mat: Matrix) -> bool:
-    return bool(mat) and _reaches_all(mat) and _reaches_all(list(zip(*mat)))
-
-
-def _reaches_all(mat: Sequence[Sequence[int]]) -> bool:
-    """Index 0 reaches every index, itself included, in one or more steps."""
-    seen = [False] * len(mat)
-    stack = [0]
-    while stack:
-        for j, x in enumerate(mat[stack.pop()]):
-            if x and not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return all(seen)
+    # The index rows of a checked matrix, without a second validation.
+    comps = _components([[(j, x) for j, x in enumerate(row) if x] for row in mat])
+    return len(comps) == 1 and len(comps[0]) == len(mat)
 
 
 def is_single_orbit(a: Sequence[Sequence[int]]) -> bool:
@@ -294,22 +273,10 @@ def is_single_orbit(a: Sequence[Sequence[int]]) -> bool:
 
 
 def _single_orbit(mat: Matrix) -> bool:
-    n = len(mat)
-    if n == 0:
-        return False
-    succ: list[int] = []
-    for row in mat:
-        if sum(row) != 1 or any(v not in (0, 1) for v in row):
-            return False
-        succ.append(row.index(1))
-    if sorted(succ) != list(range(n)):
-        return False
-    seen = {0}
-    j = succ[0]
-    while j not in seen:
-        seen.add(j)
-        j = succ[j]
-    return len(seen) == n
+    # Entries are nonnegative integers, so a row summing to 1 is a unit
+    # vector; a strongly connected graph with one out-edge per vertex is
+    # a single cycle.
+    return all(sum(row) == 1 for row in mat) and _irreducible(mat)
 
 
 def franks_decide(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:

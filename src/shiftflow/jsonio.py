@@ -101,13 +101,13 @@ def sft_json(x: ForbiddenSetSFT) -> dict:
     }
 
 
-def parse_matrix(doc: Any, path: str = "") -> list[list[int]]:
-    rows = _expect_list(doc, path)
+def parse_matrix(doc: Any) -> list[list[int]]:
+    rows = _expect_list(doc, "")
     if not rows:
-        raise _fail(path, "matrix has no rows")
+        raise _fail("", "matrix has no rows")
     out: list[list[int]] = []
     for i, row in enumerate(rows):
-        row = _expect_list(row, f"{path}[{i}]" if path else f"[{i}]")
+        row = _expect_list(row, f"[{i}]")
         entries: list[int] = []
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool):
@@ -115,12 +115,12 @@ def parse_matrix(doc: Any, path: str = "") -> list[list[int]]:
             entries.append(v)
         out.append(entries)
     if any(len(r) != len(rows) for r in out):
-        raise _fail(path, "matrix must be square")
+        raise _fail("", "matrix must be square")
     return out
 
 
-def parse_adjacency(doc: Any, path: str = "") -> list[list[int]]:
-    m = parse_matrix(doc, path)
+def parse_adjacency(doc: Any) -> list[list[int]]:
+    m = parse_matrix(doc)
     for i, row in enumerate(m):
         for j, v in enumerate(row):
             if v < 0:
@@ -134,23 +134,22 @@ def _vertex_name(v: Any) -> str:
     return str(v)
 
 
-def parse_graph(doc: Any, path: str = "") -> DirectedGraph | LabeledGraph:
+def parse_graph(doc: Any) -> DirectedGraph | LabeledGraph:
     """Graph JSON; returns a LabeledGraph when every edge carries a label."""
-    obj = _expect_object(doc, path, {"vertices", "edges"})
+    obj = _expect_object(doc, "", {"vertices", "edges"})
     if "vertices" not in obj or "edges" not in obj:
-        raise _fail(path, "a graph needs both \"vertices\" and \"edges\"")
-    pre = f"{path}." if path else ""
+        raise _fail("", "a graph needs both \"vertices\" and \"edges\"")
     vertices = [
-        _expect_symbol(v, f"{pre}vertices[{i}]")
-        for i, v in enumerate(_expect_list(obj["vertices"], f"{pre}vertices"))
+        _expect_symbol(v, f"vertices[{i}]")
+        for i, v in enumerate(_expect_list(obj["vertices"], "vertices"))
     ]
     if len(set(vertices)) != len(vertices):
-        raise _fail(f"{pre}vertices", "vertex names repeat")
+        raise _fail("vertices", "vertex names repeat")
     known = set(vertices)
     arcs: list[tuple[str, str]] = []
     labels: list[str | None] = []
-    for i, e in enumerate(_expect_list(obj["edges"], f"{pre}edges")):
-        epath = f"{pre}edges[{i}]"
+    for i, e in enumerate(_expect_list(obj["edges"], "edges")):
+        epath = f"edges[{i}]"
         edge = _expect_object(e, epath, {"from", "to", "label"})
         for key in ("from", "to"):
             if key not in edge:
@@ -162,7 +161,7 @@ def parse_graph(doc: Any, path: str = "") -> DirectedGraph | LabeledGraph:
         labels.append(_expect_symbol(edge["label"], f"{epath}.label") if "label" in edge else None)
     present = [lab for lab in labels if lab is not None]
     if present and len(present) != len(labels):
-        raise _fail(f"{pre}edges", "either every edge is labeled or none is")
+        raise _fail("edges", "either every edge is labeled or none is")
     g = DirectedGraph.build(vertices, arcs)
     if present:
         return LabeledGraph(g, tuple(present))
@@ -197,17 +196,17 @@ def _parse_block_table(value: Any, path: str) -> dict[Word, str]:
     return table
 
 
-def parse_pipeline(doc: Any, path: str = "") -> MovePipeline:
+def parse_pipeline(doc: Any) -> MovePipeline:
     """A pipeline document: a source SFT plus a list of move commands.
 
     Moves are replayed in order against the source, so the result
     carries every intermediate shift and each move's fresh symbols.
     """
-    obj = _expect_object(doc, path, {"source", "moves"})
+    obj = _expect_object(doc, "", {"source", "moves"})
     if "source" not in obj:
-        raise _fail(path, "a pipeline needs a \"source\" shift to act on")
+        raise _fail("", "a pipeline needs a \"source\" shift to act on")
     if "moves" not in obj:
-        raise _fail(path, "a pipeline needs a \"moves\" array")
+        raise _fail("", "a pipeline needs a \"moves\" array")
     pipe = MovePipeline.start(parse_sft(obj["source"], "source"))
     for i, mv in enumerate(_expect_list(obj["moves"], "moves")):
         mpath = f"moves[{i}]"
@@ -271,17 +270,17 @@ def _int_list(value: Any, path: str) -> list[int]:
     return out
 
 
-def parse_sgap(doc: Any, path: str = "") -> SGapSet:
-    obj = _expect_object(doc, path, {"kind", "elements", "R", "T", "N", "members", "bound"})
+def parse_sgap(doc: Any) -> SGapSet:
+    obj = _expect_object(doc, "", {"kind", "elements", "R", "T", "N", "members", "bound"})
     kind = obj.get("kind")
     if kind == "finite":
         if "elements" not in obj:
-            raise _fail(path, "a finite gap set needs \"elements\"")
+            raise _fail("", "a finite gap set needs \"elements\"")
         return FiniteGaps(tuple(_int_list(obj["elements"], "elements")))
     if kind == "eventually_periodic":
         for key in ("R", "T", "N"):
             if key not in obj:
-                raise _fail(path, f"an eventually periodic gap set needs \"{key}\"")
+                raise _fail("", f"an eventually periodic gap set needs \"{key}\"")
         n = obj["N"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise _fail("N", "expected a positive integer period")
@@ -293,12 +292,12 @@ def parse_sgap(doc: Any, path: str = "") -> SGapSet:
     if kind == "sampled":
         for key in ("members", "bound"):
             if key not in obj:
-                raise _fail(path, f"a sampled gap set needs \"{key}\"")
+                raise _fail("", f"a sampled gap set needs \"{key}\"")
         bound = obj["bound"]
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise _fail("bound", "expected a nonnegative integer")
         return SampledGaps(tuple(_int_list(obj["members"], "members")), bound)
-    raise _fail(f"{path}.kind" if path else "kind", f"unknown kind {kind!r}")
+    raise _fail("kind", f"unknown kind {kind!r}")
 
 
 def sgap_json(s: SGapSet) -> dict:

@@ -124,7 +124,7 @@ def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
     if all(len(w) == m + 1 for w in x.forbidden):
         return x
     good = set(_admissible_words(x.alphabet, x.forbidden, m + 1))
-    bad = frozenset(w for w in x.alphabet.words(m + 1) if w not in good)
+    bad = frozenset(w for w in _admissible_words(x.alphabet, frozenset(), m + 1) if w not in good)
     return ForbiddenSetSFT(x.alphabet, bad)
 
 

@@ -153,15 +153,6 @@ class Alphabet:
             raise ValueError(f"{symbol!r} not in alphabet")
         return Alphabet(tuple(s for s in self.symbols if s != symbol))
 
-    def words(self, n: int) -> Iterator[Word]:
-        """All length-n words over the alphabet, lexicographic in symbol order."""
-        if n == 0:
-            yield EMPTY_WORD
-            return
-        for prefix in self.words(n - 1):
-            for s in self.symbols:
-                yield prefix + _word((s,))
-
 
 def _least_rotation(w: Word) -> Word:
     return min(w[k:] + w[:k] for k in range(len(w)))

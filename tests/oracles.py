@@ -13,7 +13,10 @@ window one position at a time through membership callables, from
 and the matrix invariants that kept both Smith transforms, took the sign
 from a Bareiss determinant and read irreducibility from a multigraph with
 one edge per unit of each entry, from `smith_normal_form_by_closures` to
-`franks_decide_by_graphs`; and the Perron power loop that built one
+`franks_decide_by_graphs`; the Bareiss determinant, the dense
+reachability search for irreducibility and the cycle walk for single
+orbits, `determinant_by_bareiss` to `single_orbit_by_cycle_walk`; and
+the Perron power loop that built one
 generator per row on every iteration, `power_iteration_rho_by_generators`;
 and the Tarjan search on vertex-keyed dicts, `components_by_vertex`.
 Deliberately slow.
@@ -33,9 +36,7 @@ from shiftflow.invariants import (
     SmithDecomposition,
     _check_adjacency,
     as_matrix,
-    determinant,
     identity,
-    is_single_orbit,
     mat_sub,
 )
 from shiftflow.moves import (
@@ -970,7 +971,7 @@ def bowen_franks_by_determinant(a: Sequence[Sequence[int]]) -> SignedBFGroup:
     mat = as_matrix(a, square=True)
     n = len(mat)
     b = mat_sub(identity(n), mat)
-    det = determinant(b)
+    det = determinant_by_bareiss(b)
     sign = 0 if det == 0 else (1 if det > 0 else -1)
     diag = smith_normal_form_by_closures(b).diagonal
     return SignedBFGroup(sign, tuple(d for d in diag if d != 1))
@@ -1066,6 +1067,68 @@ def franks_decide_by_graphs(a: Sequence[Sequence[int]], b: Sequence[Sequence[int
     for name, mat in (("first", a), ("second", b)):
         if not is_irreducible_by_tarjan(mat):
             raise PreconditionError(f"{name} matrix is not irreducible")
-        if is_single_orbit(mat):
+        if single_orbit_by_cycle_walk(_check_adjacency(mat)):
             raise PreconditionError(f"{name} matrix presents a single periodic orbit")
     return bowen_franks_by_determinant(a) == bowen_franks_by_determinant(b)
+
+
+def determinant_by_bareiss(a: Matrix) -> int:
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in a):
+        raise InvalidInput("determinant needs a square matrix")
+    m = [list(r) for r in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def irreducible_by_reachability(mat: Matrix) -> bool:
+    return bool(mat) and _reaches_all(mat) and _reaches_all(list(zip(*mat)))
+
+
+def _reaches_all(mat: Sequence[Sequence[int]]) -> bool:
+    """Index 0 reaches every index, itself included, in one or more steps."""
+    seen = [False] * len(mat)
+    stack = [0]
+    while stack:
+        for j, x in enumerate(mat[stack.pop()]):
+            if x and not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return all(seen)
+
+
+def single_orbit_by_cycle_walk(mat: Matrix) -> bool:
+    n = len(mat)
+    if n == 0:
+        return False
+    succ: list[int] = []
+    for row in mat:
+        if sum(row) != 1 or any(v not in (0, 1) for v in row):
+            return False
+        succ.append(row.index(1))
+    if sorted(succ) != list(range(n)):
+        return False
+    seen = {0}
+    j = succ[0]
+    while j not in seen:
+        seen.add(j)
+        j = succ[j]
+    return len(seen) == n

@@ -100,6 +100,13 @@ def test_path_count_matches_language_count_with_index_shift():
             assert path_count(g, n) == language_count(x, n + x.step)
 
 
+def test_sparse_adjacency_is_built_once_per_graph():
+    g, _ = sft_to_edge_shift(sft(["a", "b", "c"], ["cc", "aba"]))
+    rows = g.sparse_adjacency()
+    assert rows is g.sparse_adjacency()
+    assert rows == tuple(tuple((j, k) for j, k in enumerate(row) if k) for row in g.adjacency_matrix())
+
+
 def test_path_count_on_full_shift_is_power():
     g, _ = sft_to_edge_shift(full_shift(["a", "b", "c"]))
     assert path_count(g, 5) == 3**5

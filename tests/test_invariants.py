@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from shiftflow import (
+    InvalidInput,
     PreconditionError,
     SignedBFGroup,
     bowen_franks,
@@ -19,14 +20,17 @@ from shiftflow import (
     verify_elementary_equivalence,
 )
 from shiftflow.graphs import DirectedGraph
-from shiftflow.invariants import identity, is_irreducible_matrix, is_single_orbit, mat_mul
+from shiftflow.invariants import _check_adjacency, identity, is_irreducible_matrix, is_single_orbit, mat_mul
 
 from .oracles import (
     bowen_franks_by_determinant,
     det_by_permutations,
+    determinant_by_bareiss,
     franks_decide_by_graphs,
+    irreducible_by_reachability,
     is_irreducible_by_tarjan,
     minor_gcd,
+    single_orbit_by_cycle_walk,
     smith_normal_form_by_closures,
 )
 
@@ -313,6 +317,92 @@ def test_one_elimination_agrees_with_the_transform_keeping_oracles():
         cases += 1
     assert cases >= 2000
     assert {("value", True), ("value", False), PreconditionError} <= verdicts
+
+
+def _cycles(rng: random.Random, n: int, count: int) -> list[list[int]]:
+    """Permutation matrix of size n whose permutation has `count` cycles."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), count - 1)) if n else []
+    m = [[0] * n for _ in range(n)]
+    for block in (order[i:j] for i, j in zip([0] + cuts, cuts + [n])):
+        for k, i in enumerate(block):
+            m[i][block[(k + 1) % len(block)]] = 1
+    return m
+
+
+def _orbit_square(rng: random.Random, n: int) -> list[list[int]]:
+    """Permutations with one to four cycles, some with one entry raised,
+    0/1/2 entries, cycles with noise and integer entries of either sign;
+    some with zero rows, a few ragged."""
+    kind = rng.randrange(6)
+    if kind <= 1:
+        m = _cycles(rng, n, 1 if n < 2 or rng.random() < 0.65 else rng.randint(2, min(4, n)))
+        if kind == 1 and n:
+            m[rng.randrange(n)][rng.randrange(n)] += 1
+    elif kind == 2:
+        density = rng.random()
+        m = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    elif kind == 3:
+        m = _rand_irreducible(rng, n)
+    elif kind == 4:
+        m = _rand_matrix(rng, n, -3, 3)
+    else:
+        m = [[rng.randint(-30, 30) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+    if n and rng.random() < 0.1:
+        m[rng.randrange(n)] = [0] * n
+    if n > 1 and rng.random() < 0.02:
+        m[rng.randrange(n)].pop()
+    return m
+
+
+def test_one_elimination_and_one_tarjan_agree_with_the_earlier_routines():
+    """`determinant`, `is_irreducible_matrix`, `is_single_orbit` and
+    `franks_decide` give the results and exceptions of the Bareiss
+    elimination, the dense reachability search and the cycle walk they
+    replaced."""
+    rng = random.Random(47)
+    single_orbits = 0
+    verdicts = set()
+    previous: list[list[int]] = [[2]]
+    for case in range(5200):
+        a = _orbit_square(rng, case % 10)
+        assert _outcome(determinant, a) == _outcome(determinant_by_bareiss, a), a
+        orbit = _outcome(is_single_orbit, a)
+        assert orbit == _outcome(lambda m: single_orbit_by_cycle_walk(_check_adjacency(m)), a), a
+        assert _outcome(is_irreducible_matrix, a) == _outcome(
+            lambda m: irreducible_by_reachability(_check_adjacency(m)), a
+        ), a
+        single_orbits += orbit == ("value", True)
+        pos = [(i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x > 0]
+        if rng.random() < 0.3 and pos and _outcome(_check_adjacency, a)[0] == "value":
+            b = expansion_move(a, *rng.choice(pos))
+        else:
+            b = previous
+        got = _outcome(franks_decide, a, b)
+        assert got == _outcome(franks_decide_by_graphs, a, b), (a, b)
+        verdicts.add(got[:2] if got[0] == "value" else got[1])
+        previous = a
+    assert single_orbits >= 500
+    assert {("value", True), ("value", False), PreconditionError, InvalidInput} <= verdicts
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ([[1, 2], [3, 4, 5]], "ragged matrix"),
+        ([[1, 2], [3]], "ragged matrix"),
+        ([[1.5]], "matrix entries must be integers, got 1.5"),
+        ([[True]], "matrix entries must be integers, got True"),
+    ],
+)
+def test_smith_normal_form_and_determinant_reject_malformed_matrices(a, message):
+    with pytest.raises(InvalidInput) as exc:
+        smith_normal_form(a)
+    assert str(exc.value) == message
+    with pytest.raises(InvalidInput) as exc:
+        determinant(a)
+    assert str(exc.value) == ("determinant needs a square matrix" if message == "ragged matrix" else message)
 
 
 BIG = 10**12

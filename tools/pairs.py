@@ -9,7 +9,10 @@ favour one side.  For every run it prints `correct`, `failed`, the
 number of rounds and `peak_rss_mib`, so memory can be read against the
 round count pair by pair; then, per end-to-end metric, each side's
 median and quartiles, and how many pairs the change won on
-`throughput_ops_s`.
+`throughput_ops_s`.  Last, for each `end_to_end` metric of the
+`BENCHMARK.json` next to this tool, it prints the change/parent ratio of
+the medians and how much worse the change is in that metric's bad
+direction, flagged `beyond bound` when that exceeds the metric's bound.
 Nothing in either checkout is written except what a benchmark run
 writes itself.  Stdlib only.
 """
@@ -25,6 +28,7 @@ import sys
 from pathlib import Path
 
 ROUNDS = re.compile(r"^\d+ operations x (\d+) rounds", re.MULTILINE)
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -80,6 +84,13 @@ def main(argv: list[str]) -> int:
         for p, c in zip(runs["parent"], runs["change"])
     )
     print(f"throughput_ops_s: change wins {wins} of {args.pairs} pairs")
+    print("\nchange / parent of the medians, against the end-to-end bounds")
+    for spec in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]:
+        parent, change = (statistics.median(r["metrics"][spec["name"]]["value"] for r in runs[side]) for side in sides)
+        ratio = change / parent
+        worse = 1 - ratio if spec["better"] == "higher" else ratio - 1
+        flag = ", beyond bound" if worse > spec["bound"] else ""
+        print(f"{spec['name']}: ratio {ratio:.4f}, worse by {worse:+.1%} (bound {spec['bound']:.0%}){flag}")
     return 0
 
 
