@@ -149,7 +149,7 @@ def _image(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> Forbid
     runs = {(v, start) for v in succ}
     for _ in range(burn):
         runs = {(dst, step(q, s)[0]) for v, q in runs for dst, s in succ[v]}
-    found: set[Word] = set()
+    found: set[tuple[str, ...]] = set()
     stack = [(v, q, ()) for v, q in runs]
     seen = set(stack)
     while stack:
@@ -157,13 +157,13 @@ def _image(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> Forbid
         for dst, s in succ[vtx]:
             q2, chunk = step(q, s)
             written = tail + chunk
-            found.update(_word(written[i : i + k + 1]) for i in range(len(written) - k))
+            found.update(written[i : i + k + 1] for i in range(len(written) - k))
             state = (dst, q2, written[max(len(written) - k, 0) :])
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
     live = {s for w in found for s in w}
-    alpha = Alphabet(tuple(s for s in alphabet if s in live))
+    alpha = Alphabet(tuple([s for s in alphabet if s in live]))  # from a list: see `invariants.as_matrix`
     return minimize_from_language(alpha, _slices_below(found, k + 1), k)
 
 

@@ -2,7 +2,9 @@
 
 The central object is `ForbiddenSetSFT`.  Everything derived from it
 (language, edge-shift graph, membership) goes through one cached graph
-construction so repeated queries stay cheap.
+construction so repeated queries stay cheap.  Inside, words are plain
+symbol tuples, which hash and compare equal to Words; each word handed
+out is wrapped once with `_word`.
 """
 
 from __future__ import annotations
@@ -62,18 +64,28 @@ def _forbidden_by_length(forbidden: frozenset[Word]) -> dict[int, set[Word]]:
     return table
 
 
-def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> list[Word]:
-    """All length-n words with no forbidden factor, lexicographic order.
+# Most candidate words `_admissible_words` builds for one length (2**20
+# words of length 13 take about 150 MiB): past it a query raises.
+MAX_CANDIDATES = 2**20
+
+
+def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> list[tuple[str, ...]]:
+    """All length-n words with no forbidden factor, as tuples in order.
 
     Grown one length at a time: a word is kept when no forbidden word is
     a suffix of it, so dead prefixes are dropped as soon as they appear.
-    Extending each word by the alphabet in order keeps the order.
+    Extending each word by the alphabet in order keeps the order.  Past
+    `MAX_CANDIDATES` candidates for a length it raises `PreconditionError`.
     """
     by_len = _forbidden_by_length(forbidden)
-    words = [EMPTY_WORD]
+    words: list[tuple[str, ...]] = [()]
     for k in range(1, n + 1):
-        longer = (u + _word((s,)) for u in words for s in alphabet)
-        words = [w for w in longer if not any(ln <= k and w[k - ln :] in bad for ln, bad in by_len.items())]
+        count = len(words) * len(alphabet)
+        if count > MAX_CANDIDATES:
+            raise PreconditionError(f"words of length {k} have {count} candidates, above the limit {MAX_CANDIDATES}")
+        longer = (u + (s,) for u in words for s in alphabet.symbols)
+        suffixes = [(k - ln, bad) for ln, bad in by_len.items() if ln <= k]
+        words = [w for w in longer if not any(w[i:] in bad for i, bad in suffixes)] if suffixes else list(longer)
     return words
 
 
@@ -94,10 +106,10 @@ class EdgeShiftData(NamedTuple):
 def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
     m = x.step
     words = _admissible_words(x.alphabet, x.forbidden, m + 1)
-    vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
-    edges = tuple([Edge(w[:m], w[1:], i) for i, w in enumerate(words)])
-    graph = DirectedGraph(tuple(vertices), edges).essential_part()
-    edge_words = tuple(words)
+    vertex = {v: _word(v) for v in sorted({w[:m] for w in words} | {w[1:] for w in words})}
+    edges = tuple([Edge(vertex[w[:m]], vertex[w[1:]], i) for i, w in enumerate(words)])
+    graph = DirectedGraph(tuple(vertex.values()), edges).essential_part()
+    edge_words = tuple([_word(w) for w in words])  # from a list: see `invariants.as_matrix`
     live = frozenset(edge_words[e.eid] for e in graph.edges)
     return EdgeShiftData(graph, edge_words, live)
 
@@ -124,7 +136,7 @@ def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
     if all(len(w) == m + 1 for w in x.forbidden):
         return x
     good = set(_admissible_words(x.alphabet, x.forbidden, m + 1))
-    bad = frozenset(w for w in _admissible_words(x.alphabet, frozenset(), m + 1) if w not in good)
+    bad = frozenset(_word(w) for w in _admissible_words(x.alphabet, frozenset(), m + 1) if w not in good)
     return ForbiddenSetSFT(x.alphabet, bad)
 
 
@@ -140,10 +152,10 @@ def sft_to_edge_shift(x: ForbiddenSetSFT) -> tuple[DirectedGraph, dict[int, Word
     return data.graph, {e.eid: data.edge_words[e.eid] for e in data.graph.edges}
 
 
-def _short_words(data: EdgeShiftData, n: int) -> set[Word]:
-    """The length-n words of the language for n at most the step: the
-    length-n factors of the vertex words, which are its step-length words."""
-    return {f for v in data.graph.vertices for f in v.factors(n)}
+def _short_words(data: EdgeShiftData, n: int) -> set[tuple[str, ...]]:
+    """The length-n words of the language for 1 <= n <= the step, as tuples:
+    the length-n factors of the vertex words, its step-length words."""
+    return {f for v in data.graph.vertices for f in _windows(v, n)}
 
 
 def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
@@ -159,7 +171,7 @@ def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
     data = _edge_shift(x)
     m = x.step
     if n <= m:
-        return sorted(_short_words(data, n))
+        return sorted(map(_word, _short_words(data, n)))
     paths = [(v, v) for v in data.graph.vertices]
     for _ in range(n - m):
         paths = [
@@ -253,18 +265,18 @@ def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     whose step is the least step of the shift.
     """
     k = x.step
-    bsets = _slices_below(set(_edge_shift(x).live_words), k + 1)
+    bsets = _slices_below(set(map(tuple, _edge_shift(x).live_words)), k + 1)
     return minimize_from_language(x.alphabet, bsets, k)
 
 
-def _slices_below(top: set[Word], jmax: int) -> dict[int, set[Word]]:
-    """Language slices B_0 .. B_jmax from the length-jmax slice `top`.
+def _slices_below(top: set[tuple[str, ...]], jmax: int) -> dict[int, set[tuple[str, ...]]]:
+    """Language slices B_0 .. B_jmax of tuples from the length-jmax slice.
 
     A length-j factor of a length-jmax word is the prefix or the suffix
     of one of its length-(j+1) factors, so each slice is built from the
     one above it.
     """
-    bsets: dict[int, set[Word]] = {jmax: top, 0: {EMPTY_WORD}}
+    bsets: dict[int, set[tuple[str, ...]]] = {jmax: top, 0: {()}}
     for j in range(jmax - 1, 0, -1):
         above = bsets[j + 1]
         bsets[j] = {w[:-1] for w in above} | {w[1:] for w in above}
@@ -289,8 +301,8 @@ def minimize_from_language(alphabet: Alphabet, bsets: Mapping[int, set[Word]], k
     for n in range(1, k + 2):
         prev, cur = bsets[n - 1], bsets[n]
         for u in prev:
-            for s in alphabet:
-                w = u + _word((s,))
+            for s in alphabet.symbols:
+                w = u + (s,)
                 if w not in cur and w[1:] in prev:
-                    fmin.add(w)
+                    fmin.add(_word(w))
     return ForbiddenSetSFT(alphabet, frozenset(fmin))

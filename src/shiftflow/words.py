@@ -9,8 +9,9 @@ which hands a `Word` back as it is, and on the output symbols of
 `sft.apply_block_map`.  Slices, concatenations and factors of Words are
 not checked again.  The per-symbol loops over long words in `sft` and
 `moves` (move images, membership, block maps) read the word's windows
-as plain tuples (`_windows`), without copying the word, and wrap each
-result once with `_word`.
+as plain tuples (`_windows`), without copying the word, and the language
+core of `sft` and move images work on plain tuples, which hash and
+compare equal to Words; each result is wrapped once with `_word`.
 """
 
 from __future__ import annotations

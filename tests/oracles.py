@@ -6,7 +6,9 @@ implementations kept as references for the ones that replaced them:
 `minimize_by_counting`; the Word-based finite-word paths
 `move_word_by_slices`, `contains_word_by_factors` and
 `apply_block_map_by_factors`, which index and slice `Word`s symbol by
-symbol; the sliding-window move rules `image_by_windows` and
+symbol; the Word-based language core that built every slice, extension
+and window as a `Word`, from `admissible_words_by_words` to
+`image_by_words`; the sliding-window move rules `image_by_windows` and
 `apply_periodic_by_rotation`; and the gap-set decisions that read a
 window one position at a time through membership callables, from
 `_member_fn` to `fe_equal`, kept verbatim under their library names;
@@ -48,11 +50,14 @@ from shiftflow.moves import (
     WordContraction,
     _memory_weight,
     _move_word,
+    _transducer,
 )
 from shiftflow.sft import (
+    EdgeShiftData,
     ForbiddenSetSFT,
     _admissible_words,
     _edge_shift,
+    _forbidden_by_length,
     _short_words,
     _slices_below,
     _unambiguous_word,
@@ -60,7 +65,7 @@ from shiftflow.sft import (
     language_count,
     minimize_from_language,
 )
-from shiftflow.words import Alphabet, PeriodicOrbit, Word, _word
+from shiftflow.words import EMPTY_WORD, Alphabet, PeriodicOrbit, Word, _word
 from shiftflow.sgap import (
     Classification,
     EventuallyPeriodicGaps,
@@ -549,6 +554,85 @@ def image_by_windows(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet)
     live = {s for w in found for s in w}
     alpha = Alphabet(tuple(s for s in alphabet if s in live))
     return minimize_from_language(alpha, _slices_below(found, jmax), k)
+
+
+def admissible_words_by_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> list[Word]:
+    """All length-n words with no forbidden factor, lexicographic order,
+    grown as Words one length at a time."""
+    by_len = _forbidden_by_length(forbidden)
+    words = [EMPTY_WORD]
+    for k in range(1, n + 1):
+        longer = (u + _word((s,)) for u in words for s in alphabet)
+        words = [w for w in longer if not any(ln <= k and w[k - ln :] in bad for ln, bad in by_len.items())]
+    return words
+
+
+def edge_shift_by_words(x: ForbiddenSetSFT) -> EdgeShiftData:
+    """The edge-shift presentation of x at its step, on Word slices."""
+    m = x.step
+    words = admissible_words_by_words(x.alphabet, x.forbidden, m + 1)
+    vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
+    edges = tuple([Edge(w[:m], w[1:], i) for i, w in enumerate(words)])
+    graph = DirectedGraph(tuple(vertices), edges).essential_part()
+    edge_words = tuple(words)
+    live = frozenset(edge_words[e.eid] for e in graph.edges)
+    return EdgeShiftData(graph, edge_words, live)
+
+
+def short_words_by_words(data: EdgeShiftData, n: int) -> set[Word]:
+    """The length-n language words for n at most the step, as Word factors
+    of the vertex words."""
+    return {f for v in data.graph.vertices for f in v.factors(n)}
+
+
+def slices_below_by_words(top: set[Word], jmax: int) -> dict[int, set[Word]]:
+    """Language slices B_0 .. B_jmax from the length-jmax slice, on Word slices."""
+    bsets: dict[int, set[Word]] = {jmax: top, 0: {EMPTY_WORD}}
+    for j in range(jmax - 1, 0, -1):
+        above = bsets[j + 1]
+        bsets[j] = {w[:-1] for w in above} | {w[1:] for w in above}
+    return bsets
+
+
+def minimize_from_language_by_words(alphabet: Alphabet, bsets: Mapping[int, set[Word]], k: int) -> ForbiddenSetSFT:
+    """The minimal forbidden set of a k-step shift from its language
+    slices, extending Words symbol by symbol."""
+    fmin: set[Word] = set()
+    for n in range(1, k + 2):
+        prev, cur = bsets[n - 1], bsets[n]
+        for u in prev:
+            for s in alphabet:
+                w = u + _word((s,))
+                if w not in cur and w[1:] in prev:
+                    fmin.add(w)
+    return ForbiddenSetSFT(alphabet, frozenset(fmin))
+
+
+def image_by_words(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> ForbiddenSetSFT:
+    """Image of x under a move as a k-step SFT, by the transducer walk of
+    `moves._image` collecting its windows as Words."""
+    step, start, burn = _transducer(move)
+    data = edge_shift_by_words(x)
+    succ = {v: [(e.dst, data.edge_words[e.eid][-1]) for e in data.graph.out_edges(v)] for v in data.graph.vertices}
+    runs = {(v, start) for v in succ}
+    for _ in range(burn):
+        runs = {(dst, step(q, s)[0]) for v, q in runs for dst, s in succ[v]}
+    found: set[Word] = set()
+    stack = [(v, q, ()) for v, q in runs]
+    seen = set(stack)
+    while stack:
+        vtx, q, tail = stack.pop()
+        for dst, s in succ[vtx]:
+            q2, chunk = step(q, s)
+            written = tail + chunk
+            found.update(_word(written[i : i + k + 1]) for i in range(len(written) - k))
+            state = (dst, q2, written[max(len(written) - k, 0) :])
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    live = {s for w in found for s in w}
+    alpha = Alphabet(tuple(s for s in alphabet if s in live))
+    return minimize_from_language_by_words(alpha, slices_below_by_words(found, k + 1), k)
 
 
 def _wrap(cycle: Word, extra: int) -> Word:

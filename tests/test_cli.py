@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,19 @@ def test_language_enum(capsys):
         '{"n":4,"count":8,"words":'
         '["0000","0001","0010","0100","0101","1000","1001","1010"]}\n'
     )
+
+
+@pytest.mark.parametrize("length", [13, 15])
+def test_language_enum_past_the_candidate_limit_exits_2_at_once(capsys, length):
+    """Forbidding c^13 over {a, b, c} asks for the 3^13 candidate words of
+    length 13.  Without the limit, c^13 took 32 s to list 9 words and c^15
+    ran out of memory."""
+    doc = json.dumps({"alphabet": ["a", "b", "c"], "forbidden": ["c" * length]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["language", "enum", "--n", "2", doc])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: words of length 13 have 1594323 candidates, above the limit 1048576\n"
 
 
 def test_language_enum_from_file(capsys, tmp_path):

@@ -115,6 +115,13 @@ def test_to_m_step_below_step_rejected():
         to_m_step(x, 1)
 
 
+def test_to_m_step_past_the_candidate_limit_raises():
+    """Six symbols at step 8 would list the 6^9 words of length 9."""
+    x = sft([str(i) for i in range(6)], ["0" * 9, "11"])
+    with pytest.raises(PreconditionError, match="above the limit"):
+        to_m_step(x)
+
+
 def test_contains_word_factorial_closure():
     rng = random.Random(3)
     x = sft(["0", "1"], ["11", "000"])

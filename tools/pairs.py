@@ -13,6 +13,13 @@ median and quartiles, and how many pairs the change won on
 `BENCHMARK.json` next to this tool, it prints the change/parent ratio of
 the medians and how much worse the change is in that metric's bad
 direction, flagged `beyond bound` when that exceeds the metric's bound.
+Then it separates memory from round count: `peak_rss_mib` is fitted
+against `rounds` over the runs of both sides, each side centred on its
+own means, so a difference between the sides that does not depend on the
+round count is not read as a slope.  It prints the slope in MiB per 100
+rounds, and the change's peak RSS moved along that slope to the parent's
+median round count (the median over the change's runs), with its ratio
+to the parent's median.
 Nothing in either checkout is written except what a benchmark run
 writes itself.  Stdlib only.
 """
@@ -91,7 +98,32 @@ def main(argv: list[str]) -> int:
         worse = 1 - ratio if spec["better"] == "higher" else ratio - 1
         flag = ", beyond bound" if worse > spec["bound"] else ""
         print(f"{spec['name']}: ratio {ratio:.4f}, worse by {worse:+.1%} (bound {spec['bound']:.0%}){flag}")
+    print("\npeak_rss_mib against rounds")
+    print(rss_at_parent_rounds(runs["parent"], runs["change"]))
     return 0
+
+
+def rss_at_parent_rounds(parent: list[dict], change: list[dict]) -> str:
+    """The within-side slope of peak RSS over rounds, and the change's
+    peak RSS predicted at the parent's median round count."""
+    xs: list[float] = []
+    ys: list[float] = []
+    for side in (parent, change):
+        rounds = [r["rounds"] for r in side]
+        rss = [r["metrics"]["peak_rss_mib"]["value"] for r in side]
+        xs += [x - statistics.fmean(rounds) for x in rounds]
+        ys += [y - statistics.fmean(rss) for y in rss]
+    try:
+        slope = statistics.linear_regression(xs, ys).slope
+    except statistics.StatisticsError:
+        return "slope: the round count does not vary within a side, so no slope can be fitted"
+    at = statistics.median(r["rounds"] for r in parent)
+    predicted = statistics.median(
+        r["metrics"]["peak_rss_mib"]["value"] + slope * (at - r["rounds"]) for r in change
+    )
+    base = statistics.median(r["metrics"]["peak_rss_mib"]["value"] for r in parent)
+    return (f"slope {100 * slope:.4g} MiB per 100 rounds; change at the parent's median of {at:g} rounds: "
+            f"{predicted:.4g} MiB, ratio {predicted / base:.4f} to the parent's {base:.4g} MiB")
 
 
 if __name__ == "__main__":
