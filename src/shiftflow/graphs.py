@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import mul
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInput
@@ -207,12 +208,18 @@ def _walks(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:
     entry i counts the paths of k edges that start at index i.
 
     Repeated matrix-vector products with Python integers, so no overflow
-    and no powers of the matrix.
+    and no powers of the matrix; each is a gather pass, per row a `sum`
+    over its columns' entries of the last vector, times its entries unless 1.
     """
+    terms = []
+    for row in rows:
+        cols, ks = zip(*row) if row else ((), ())
+        terms.append((cols, None if ks.count(1) == len(ks) else ks))
     vec = [1] * len(rows)
     while True:
         yield vec
-        vec = [sum(k * vec[j] for j, k in row) for row in rows]
+        get = vec.__getitem__
+        vec = [sum(map(get, cols)) if ks is None else sum(map(mul, ks, map(get, cols))) for cols, ks in terms]
 
 
 def from_adjacency(matrix: Sequence[Sequence[int]]) -> DirectedGraph:

@@ -4,17 +4,19 @@ The central object is `ForbiddenSetSFT`.  Everything derived from it
 (language, edge-shift graph, membership) goes through one cached graph
 construction so repeated queries stay cheap.  Inside, words are plain
 symbol tuples, which hash and compare equal to Words; each word handed
-out is wrapped once with `_word`.
+out is wrapped once with `_word`.  Membership and word counts are one
+pass each over the essential edge shift, read as an automaton or by paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from functools import cached_property, lru_cache
+from itertools import islice
+from typing import Iterable, Mapping
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
-from .graphs import DirectedGraph, Edge, path_count
+from .graphs import DirectedGraph, Edge, _walks, path_count
 from .words import EMPTY_WORD, Alphabet, Word, _check_symbols, _windows, _word
 
 
@@ -34,7 +36,7 @@ class ForbiddenSetSFT:
                 if s not in self.alphabet:
                     raise InvalidInput(f"forbidden word {w!r} uses symbol {s!r} not in alphabet")
 
-    @property
+    @cached_property
     def step(self) -> int:
         """Memory: longest forbidden word length minus one, 0 when none."""
         return max((len(w) for w in self.forbidden), default=1) - 1
@@ -65,7 +67,7 @@ def _forbidden_by_length(forbidden: frozenset[Word]) -> dict[int, set[Word]]:
 
 
 # Most candidate words `_admissible_words` builds for one length (2**20
-# words of length 13 take about 150 MiB): past it a query raises.
+# words of length 13 take about 150 MiB), and most words listed at once.
 MAX_CANDIDATES = 2**20
 
 
@@ -89,7 +91,8 @@ def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) ->
     return words
 
 
-class EdgeShiftData(NamedTuple):
+@dataclass(frozen=True)
+class EdgeShiftData:
     """Edge-shift presentation of an SFT at its own step m.
 
     Vertices are the admissible length-m words, edges the admissible
@@ -100,6 +103,16 @@ class EdgeShiftData(NamedTuple):
     graph: DirectedGraph
     edge_words: tuple[Word, ...]
     live_words: frozenset[Word]
+
+    @cached_property
+    def automaton(self) -> tuple[dict[Word, int], list[dict[str, int]]]:
+        """Each vertex's index, and per index the next index for each last
+        symbol of an out-edge (one edge per symbol): built on first use."""
+        index = {v: i for i, v in enumerate(self.graph.vertices)}
+        delta: list[dict[str, int]] = [{} for _ in index]
+        for e in self.graph.edges:
+            delta[index[e.src]][self.edge_words[e.eid][-1]] = index[e.dst]
+        return index, delta
 
 
 @lru_cache(maxsize=512)
@@ -153,16 +166,22 @@ def sft_to_edge_shift(x: ForbiddenSetSFT) -> tuple[DirectedGraph, dict[int, Word
 
 
 def _short_words(data: EdgeShiftData, n: int) -> set[tuple[str, ...]]:
-    """The length-n words of the language for 1 <= n <= the step, as tuples:
-    the length-n factors of the vertex words, its step-length words."""
-    return {f for v in data.graph.vertices for f in _windows(v, n)}
+    """The length-n words of the language for 1 <= n <= the step m, as
+    tuples: the length-n prefixes of the vertex words.  A length-n word at
+    position i of a point is the prefix of the length-m window there, a
+    vertex; every vertex of the essential edge shift lies on a point."""
+    cut = slice(n)
+    return {tuple.__getitem__(v, cut) for v in data.graph.vertices}
 
 
 def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
     """Sorted list of the length-n words occurring in points of the shift.
 
     Length 0 always yields the empty word, even for the empty shift.
-    Words longer than the step grow from the vertex words along out-edges.
+    Words longer than the step grow from the vertex words along out-edges,
+    unless there are more than `MAX_CANDIDATES`: checked against |V| d^(n-m),
+    d the largest out-degree, and past that by path counts, which never fall
+    on an essential graph.
     """
     if n < 0:
         raise InvalidInput("word length must be nonnegative")
@@ -172,6 +191,14 @@ def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
     m = x.step
     if n <= m:
         return sorted(map(_word, _short_words(data, n)))
+    graph = data.graph
+    d = max((len(graph.out_edges(v)) for v in graph.vertices), default=0)
+    # d >= 2 gives d^21 > 2^20, so the capped exponent keeps the comparison.
+    if len(graph.vertices) * d ** min(n - m, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
+        for count in map(sum, islice(_walks(graph.sparse_adjacency()), n - m + 1)):
+            if count > MAX_CANDIDATES:
+                raise PreconditionError(
+                    f"words of length {n} number at least {count}, above the limit {MAX_CANDIDATES}")
     paths = [(v, v) for v in data.graph.vertices]
     for _ in range(n - m):
         paths = [
@@ -209,18 +236,23 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
     """Membership of a finite word in the language of the shift.
 
     A plain string is refused when the alphabet has a multi-character
-    symbol (see `_unambiguous_word`).
+    symbol (see `_unambiguous_word`).  A word longer than the step m walks
+    the edge shift's automaton from w[:m]: each step is an (m+1)-window.
     """
     w = _unambiguous_word(word, x.alphabet)
     if len(w) == 0:
         return True
-    if not set(w).issubset(x.alphabet.symbols):
-        return False
     data = _edge_shift(x)
     m = x.step
     if len(w) <= m:
         return w in _short_words(data, len(w))
-    return all(f in data.live_words for f in _windows(w, m + 1))
+    index, delta = data.automaton
+    i = index.get(tuple.__getitem__(w, slice(m)))
+    for s in islice(w, m, None):
+        if i is None:
+            return False
+        i = delta[i].get(s)
+    return i is not None
 
 
 def is_irreducible(x: ForbiddenSetSFT) -> bool:

@@ -20,7 +20,10 @@ reachability search for irreducibility and the cycle walk for single
 orbits, `determinant_by_bareiss` to `single_orbit_by_cycle_walk`; and
 the Perron power loop that built one
 generator per row on every iteration, `power_iteration_rho_by_generators`;
-and the Tarjan search on vertex-keyed dicts, `components_by_vertex`.
+and the Tarjan search on vertex-keyed dicts, `components_by_vertex`;
+and the language reads that hashed every window, `contains_word_by_windows`
+and `short_words_by_windows`, with the path-count loop that built one
+generator per row on every step, `walks_by_generators`.
 Deliberately slow.
 """
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from shiftflow.errors import InvalidInput, NonConvergenceError, PartialBlockMapError, PreconditionError
 from shiftflow.graphs import DirectedGraph, Edge, from_adjacency
@@ -65,7 +68,7 @@ from shiftflow.sft import (
     language_count,
     minimize_from_language,
 )
-from shiftflow.words import EMPTY_WORD, Alphabet, PeriodicOrbit, Word, _word
+from shiftflow.words import EMPTY_WORD, Alphabet, PeriodicOrbit, Word, _windows, _word
 from shiftflow.sgap import (
     Classification,
     EventuallyPeriodicGaps,
@@ -1216,3 +1219,33 @@ def single_orbit_by_cycle_walk(mat: Matrix) -> bool:
         seen.add(j)
         j = succ[j]
     return len(seen) == n
+
+
+def short_words_by_windows(data: EdgeShiftData, n: int) -> set[tuple[str, ...]]:
+    """The length-n words of the language for 1 <= n <= the step, as tuples:
+    the length-n factors of the vertex words, its step-length words."""
+    return {f for v in data.graph.vertices for f in _windows(v, n)}
+
+
+def contains_word_by_windows(x: ForbiddenSetSFT, word: Word | str) -> bool:
+    """Membership of a finite word in the language, hashing each of its
+    (m+1)-windows against the live edge words."""
+    w = _unambiguous_word(word, x.alphabet)
+    if len(w) == 0:
+        return True
+    if not set(w).issubset(x.alphabet.symbols):
+        return False
+    data = _edge_shift(x)
+    m = x.step
+    if len(w) <= m:
+        return w in short_words_by_windows(data, len(w))
+    return all(f in data.live_words for f in _windows(w, m + 1))
+
+
+def walks_by_generators(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:
+    """A^k 1 for k = 0, 1, 2, ..., A the matrix with these index rows,
+    one generator per row on every step."""
+    vec = [1] * len(rows)
+    while True:
+        yield vec
+        vec = [sum(k * vec[j] for j, k in row) for row in rows]

@@ -19,7 +19,11 @@ own means, so a difference between the sides that does not depend on the
 round count is not read as a slope.  It prints the slope in MiB per 100
 rounds, and the change's peak RSS moved along that slope to the parent's
 median round count (the median over the change's runs), with its ratio
-to the parent's median.
+to the parent's median.  Last comes the RSS ceiling: the throughput gain
+at which the extra rounds alone, along that slope, would lift the
+parent's median peak RSS by the `peak_rss_mib` bound, that is (parent
+median rounds + bound x parent median RSS / slope) / parent median
+rounds.
 Nothing in either checkout is written except what a benchmark run
 writes itself.  Stdlib only.
 """
@@ -104,8 +108,8 @@ def main(argv: list[str]) -> int:
 
 
 def rss_at_parent_rounds(parent: list[dict], change: list[dict]) -> str:
-    """The within-side slope of peak RSS over rounds, and the change's
-    peak RSS predicted at the parent's median round count."""
+    """The within-side slope of peak RSS over rounds, the change's peak
+    RSS predicted at the parent's median round count, and the RSS ceiling."""
     xs: list[float] = []
     ys: list[float] = []
     for side in (parent, change):
@@ -122,8 +126,13 @@ def rss_at_parent_rounds(parent: list[dict], change: list[dict]) -> str:
         r["metrics"]["peak_rss_mib"]["value"] + slope * (at - r["rounds"]) for r in change
     )
     base = statistics.median(r["metrics"]["peak_rss_mib"]["value"] for r in parent)
+    bound = next(m["bound"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+                 if m["name"] == "peak_rss_mib")
+    ceiling = (f"{(at + bound * base / slope) / at:.3g}x throughput" if slope > 0
+               else "none, peak RSS does not grow with rounds")
     return (f"slope {100 * slope:.4g} MiB per 100 rounds; change at the parent's median of {at:g} rounds: "
-            f"{predicted:.4g} MiB, ratio {predicted / base:.4f} to the parent's {base:.4g} MiB")
+            f"{predicted:.4g} MiB, ratio {predicted / base:.4f} to the parent's {base:.4g} MiB\n"
+            f"RSS ceiling (rounds alone reach the {bound:.0%} peak_rss_mib bound): {ceiling}")
 
 
 if __name__ == "__main__":
