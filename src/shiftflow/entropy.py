@@ -9,7 +9,7 @@ from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInput, NonConvergenceError
-from .graphs import DirectedGraph, _adjacency_rows, _components, _walks, from_adjacency, path_count
+from .graphs import DirectedGraph, _adjacency_rows, _components, _walks, from_adjacency
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, determinize
 from .sft import ForbiddenSetSFT, _edge_shift, _short_words, language_count
@@ -186,10 +186,9 @@ def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int)
     if length <= m:
         pair_words = [w for w in _short_words(data, length) if all(s in pair for s in w)]
         return len(pair_words) == 2**length
-    sub_edges = [e for e in data.graph.edges if all(s in pair for s in data.edge_words[e.eid])]
-    endpoints = sorted({e.src for e in sub_edges} | {e.dst for e in sub_edges})
-    sub = DirectedGraph(tuple(endpoints), tuple(sub_edges))
-    return path_count(sub, length - m) == 2**length
+    index, delta = data.automaton
+    rows = [[(t, 1) for s, t in row.items() if s in pair and pair.issuperset(v)] for v, row in zip(index, delta)]
+    return sum(next(islice(_walks(rows), length - m, None))) == 2**length
 
 
 def boost_entropy_pipeline(x: ForbiddenSetSFT, a: str, b: str, target: int) -> MovePipeline:

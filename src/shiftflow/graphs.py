@@ -203,6 +203,19 @@ def _components(rows: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
     return components
 
 
+def _essential(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """The indices of `DirectedGraph.essential_part`, in increasing order,
+    for the graph with these index rows."""
+    keep = range(len(rows))
+    while True:
+        kept = set(keep)
+        entered = {j for i in keep for j, _ in rows[i]}
+        new = [i for i in keep if i in entered and any(j in kept for j, _ in rows[i])]
+        if len(new) == len(keep):
+            return new
+        keep = new
+
+
 def _walks(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:
     """A^k 1 for k = 0, 1, 2, ..., A the matrix with these index rows:
     entry i counts the paths of k edges that start at index i.

@@ -144,17 +144,16 @@ def _image(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> Forbid
     length-(k + 1) window of what it writes.
     """
     step, start, burn = _transducer(move)
-    data = _edge_shift(x)
-    succ = {v: [(e.dst, data.edge_words[e.eid][-1]) for e in data.graph.out_edges(v)] for v in data.graph.vertices}
-    runs = {(v, start) for v in succ}
+    _, delta = _edge_shift(x).automaton
+    runs = {(v, start) for v in range(len(delta))}
     for _ in range(burn):
-        runs = {(dst, step(q, s)[0]) for v, q in runs for dst, s in succ[v]}
+        runs = {(dst, step(q, s)[0]) for v, q in runs for s, dst in delta[v].items()}
     found: set[tuple[str, ...]] = set()
     stack = [(v, q, ()) for v, q in runs]
     seen = set(stack)
     while stack:
         vtx, q, tail = stack.pop()
-        for dst, s in succ[vtx]:
+        for s, dst in delta[vtx].items():
             q2, chunk = step(q, s)
             written = tail + chunk
             found.update(written[i : i + k + 1] for i in range(len(written) - k))
@@ -270,8 +269,8 @@ def word_contract(x: ForbiddenSetSFT, word: Word | str) -> tuple[ForbiddenSetSFT
     move = WordContraction(w, fresh)
     if n == 1:
         old = w[0]
-        alpha = Alphabet(tuple(fresh if s == old else s for s in x.alphabet.symbols))
-        forbidden = frozenset(Word(fresh if s == old else s for s in f) for f in x.forbidden)
+        alpha = Alphabet(tuple([fresh if s == old else s for s in x.alphabet.symbols]))  # see `invariants.as_matrix`
+        forbidden = frozenset(Word([fresh if s == old else s for s in f]) for f in x.forbidden)
         return ForbiddenSetSFT(alpha, forbidden), move
     return _image(x, move, max(x.step, n - 1), new_alpha), move
 

@@ -3,6 +3,9 @@
 Labels live in a tuple indexed by edge id, so pruning a graph never
 detaches an edge from its label.  Right-resolving means out-edges at
 each vertex carry distinct labels.
+
+Automata take the form of `EdgeShiftData.automaton`, `{label: next index}`
+rows; only what a public function returns is built as a `LabeledGraph`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import InvalidInput, PreconditionError
-from .graphs import DirectedGraph, Edge, Vertex, _walks
+from .graphs import DirectedGraph, Edge, Vertex, _components, _essential, _walks
 from .sft import ForbiddenSetSFT, _edge_shift, _unambiguous_word
 from .words import EMPTY_WORD, Word
 
@@ -66,48 +69,51 @@ def is_right_resolving(lg: LabeledGraph) -> bool:
 
 def _subset_automaton(
     lg: LabeledGraph, include_singletons: bool = False
-) -> tuple[DirectedGraph, tuple[str, ...], Vertex]:
+) -> tuple[list[tuple], list[dict[str, int]]]:
     """Deterministic automaton of subsets reachable from the full vertex set.
 
-    Vertex names are tuples of original vertices in graph order.  Words
-    readable in `lg` correspond exactly to paths from the seed state.
-    With `include_singletons` every one-vertex subset is seeded too.
+    States are indices in breadth-first order from state 0, the full set;
+    rows list labels in order.  `names[i]` is a state's tuple of original
+    vertices in graph order.  Words readable in `lg` correspond exactly to
+    paths from state 0.  With `include_singletons` every one-vertex subset
+    is seeded too.
     """
-    if not lg.graph.vertices:
+    vertices = lg.graph.vertices
+    if not vertices:
         raise PreconditionError("empty presentation")
-    order = {v: i for i, v in enumerate(lg.graph.vertices)}
-
-    def name(state: frozenset) -> tuple:
-        return tuple(sorted(state, key=order.__getitem__))
-
-    seed = frozenset(lg.graph.vertices)
-    seeds = [seed]
+    order = {v: i for i, v in enumerate(vertices)}
+    out = [[(lg.labels[e.eid], order[e.dst]) for e in lg.graph.out_edges(v)] for v in vertices]
+    seeds = [frozenset(range(len(vertices)))]
     if include_singletons:
-        seeds.extend(frozenset([v]) for v in lg.graph.vertices)
-    queue: deque[frozenset] = deque()
-    seen: dict[frozenset, tuple] = {}
-    for s in seeds:
-        if s not in seen:
-            seen[s] = name(s)
-            queue.append(s)
-    states: list[frozenset] = []
-    arcs: list[tuple[tuple, tuple, str]] = []
-    while queue:
-        s = queue.popleft()
-        states.append(s)
-        follow: dict[str, set[Vertex]] = {}
-        for v in s:
-            for a, t in lg.out_labeled(v):
+        seeds += [frozenset([i]) for i in range(len(vertices))]
+    index = {s: i for i, s in enumerate(dict.fromkeys(seeds))}
+    states = list(index)
+    delta: list[dict[str, int]] = []
+    for s in states:
+        follow: dict[str, set[int]] = {}
+        for i in s:
+            for a, t in out[i]:
                 follow.setdefault(a, set()).add(t)
+        row = {}
         for a in sorted(follow):
             nxt = frozenset(follow[a])
-            if nxt not in seen:
-                seen[nxt] = name(nxt)
-                queue.append(nxt)
-            arcs.append((seen[s], seen[nxt], a))
-    vertices = [seen[s] for s in states]
-    g = DirectedGraph.build(vertices, [(s, d) for s, d, _ in arcs])
-    return g, tuple([a for _, _, a in arcs]), seen[seed]
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row[a] = index[nxt]
+        delta.append(row)
+    return [tuple([vertices[i] for i in sorted(s)]) for s in states], delta
+
+
+def _index_rows(delta: list[dict[str, int]]) -> list[list[tuple[int, int]]]:
+    """Index rows of an automaton, one (next, 1) pair per label."""
+    return [[(t, 1) for t in row.values()] for row in delta]
+
+
+def _restrict(delta: list[dict[str, int]], keep: list[int]) -> list[dict[str, int]]:
+    """The automaton on the states `keep`, renumbered in order, without moves that leave them."""
+    at = {i: k for k, i in enumerate(keep)}
+    return [{a: at[t] for a, t in delta[i].items() if t in at} for i in keep]
 
 
 def determinize(lg: LabeledGraph) -> LabeledGraph:
@@ -117,41 +123,26 @@ def determinize(lg: LabeledGraph) -> LabeledGraph:
     so reachable one-vertex follower states show up even when the full
     seed never narrows down to them.
     """
-    g, labels, _ = _subset_automaton(lg, include_singletons=True)
-    return LabeledGraph(g, labels).essential_part()
+    names, delta = _subset_automaton(lg, include_singletons=True)
+    arcs = [(names[i], names[t], a) for i, row in enumerate(delta) for a, t in row.items()]
+    return labeled_graph(names, arcs).essential_part()
 
 
-def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
-    """Coarsest partition where vertices agree on label -> class of target.
-
-    Assumes right-resolving input.  Absent labels distinguish states on
-    their own, since they vanish from the signature.
-    """
-    classes = {v: 0 for v in lg.graph.vertices}
-    step = {v: sorted(dict(lg.out_labeled(v)).items()) for v in lg.graph.vertices}
+def _moore_classes(delta: list[dict[str, int]]) -> list[int]:
+    """Coarsest partition where states agree on label -> class of target,
+    classes numbered by their least state.  Rows list labels in order;
+    absent labels distinguish states on their own, since they vanish from
+    the signature."""
+    classes = [0] * len(delta)
     while True:
         renumber: dict[tuple, int] = {}
-        new = {
-            v: renumber.setdefault((classes[v], tuple([(a, classes[t]) for a, t in out])), len(renumber))
-            for v, out in step.items()
-        }
+        new = [
+            renumber.setdefault((classes[i], tuple([(a, classes[t]) for a, t in row.items()])), len(renumber))
+            for i, row in enumerate(delta)
+        ]
         if new == classes:
             return classes
         classes = new
-
-
-def _quotient(lg: LabeledGraph, classes: dict[Vertex, int]) -> LabeledGraph:
-    reps: dict[int, Vertex] = {}
-    for v in lg.graph.vertices:
-        reps.setdefault(classes[v], v)
-    order = sorted(reps)
-    rename = {c: str(i) for i, c in enumerate(order)}
-    arcs: list[tuple[str, str, str]] = []
-    for c in order:
-        v = reps[c]
-        for a, t in sorted(lg.out_labeled(v)):
-            arcs.append((rename[c], rename[classes[t]], a))
-    return labeled_graph([rename[c] for c in order], arcs)
 
 
 def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
@@ -164,51 +155,47 @@ def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
     ess = lg.essential_part()
     if not ess.graph.vertices:
         return [0] * upto
-    g, _, seed = _subset_automaton(ess)
-    at = g.vertices.index(seed)
-    return [vec[at] for vec in islice(_walks(g.sparse_adjacency()), 1, upto + 1)]
+    _, delta = _subset_automaton(ess)
+    return [vec[0] for vec in islice(_walks(_index_rows(delta)), 1, upto + 1)]
 
 
 def _same_shift(p: LabeledGraph, q: LabeledGraph) -> bool:
     """Whether p and q present the same shift: Moore's partition of their
     subset automata (essential parts, both nonempty), joined side by side,
     puts the two seeds in one class."""
-    vertices: list[tuple[int, Vertex]] = []
-    arcs: list[tuple[tuple, tuple, str]] = []
-    seeds = []
-    for tag, lg in enumerate((p, q)):
-        g, labels, seed = _subset_automaton(lg.essential_part())
-        vertices += [(tag, v) for v in g.vertices]
-        arcs += [((tag, e.src), (tag, e.dst), labels[e.eid]) for e in g.edges]
-        seeds.append((tag, seed))
-    classes = _moore_classes(labeled_graph(vertices, arcs))
-    return classes[seeds[0]] == classes[seeds[1]]
+    _, first = _subset_automaton(p.essential_part())
+    _, second = _subset_automaton(q.essential_part())
+    n = len(first)
+    classes = _moore_classes(first + [{a: t + n for a, t in row.items()} for row in second])
+    return classes[0] == classes[n]
 
 
 def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     """Minimal right-resolving presentation of an irreducible sofic shift.
 
-    Determinize from the full vertex set, merge states with equal
-    follower sets, then keep the unique sink component, the one no edge
-    leaves.  Its language is contained in the input's; `_same_shift`
-    certifies equality.  Both subset automata are deterministic and every
-    state accepts, so Moore classes of their join are classes of equal
-    follower sets: the seeds share a class exactly when the languages are
-    equal.  Inputs presenting a reducible shift are rejected.
+    Determinize from the full vertex set, keep the essential states,
+    merge states with equal follower sets, then keep the unique sink
+    component, the one no edge leaves, all on index rows.  Its language
+    is contained in the input's; `_same_shift` certifies equality.  Both
+    subset automata are deterministic and every state accepts, so Moore
+    classes of their join are classes of equal follower sets: the seeds
+    share a class exactly when the languages are equal.  Inputs
+    presenting a reducible shift are rejected.
     """
-    g, labels, _ = _subset_automaton(lg)
-    det = LabeledGraph(g, labels).essential_part()
-    if not det.graph.vertices:
+    _, delta = _subset_automaton(lg)
+    keep = _essential(_index_rows(delta))
+    if not keep:
         raise PreconditionError("presentation has no bi-infinite points")
-    merged = _quotient(det, _moore_classes(det))
-    sinks = []
-    for comp in merged.graph.strongly_connected_components():
-        inside = set(comp.vertices)
-        if all(e.dst in inside for v in comp.vertices for e in merged.graph.out_edges(v)):
-            sinks.append(comp)
+    delta = _restrict(delta, keep)
+    classes = _moore_classes(delta)
+    first = dict(zip(reversed(classes), reversed(range(len(classes)))))  # each class's least state
+    merged = [{a: classes[t] for a, t in delta[first[c]].items()} for c in range(len(first))]
+    comps = _components(_index_rows(merged))
+    sinks = [comp for comp in comps if set(comp).issuperset(t for i in comp for t in merged[i].values())]
     if len(sinks) == 1:
-        sink = sinks[0]
-        result = _quotient(LabeledGraph(sink, merged.labels), {v: i for i, v in enumerate(sink.vertices)})
+        sink = _restrict(merged, sinks[0])
+        arcs = [(str(i), str(t), a) for i, row in enumerate(sink) for a, t in row.items()]
+        result = labeled_graph([str(i) for i in range(len(sink))], arcs)
         if _same_shift(lg, result):
             return result
     raise PreconditionError(

@@ -107,7 +107,8 @@ class EdgeShiftData:
     @cached_property
     def automaton(self) -> tuple[dict[Word, int], list[dict[str, int]]]:
         """Each vertex's index, and per index the next index for each last
-        symbol of an out-edge (one edge per symbol): built on first use."""
+        symbol of an out-edge (one edge per symbol): built on first use and
+        kept, for `contains_word`, `moves._image` and the boost precondition."""
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         delta: list[dict[str, int]] = [{} for _ in index]
         for e in self.graph.edges:

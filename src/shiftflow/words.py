@@ -152,7 +152,7 @@ class Alphabet:
     def without(self, symbol: str) -> "Alphabet":
         if symbol not in self.symbols:
             raise ValueError(f"{symbol!r} not in alphabet")
-        return Alphabet(tuple(s for s in self.symbols if s != symbol))
+        return Alphabet(tuple([s for s in self.symbols if s != symbol]))  # from a list: see `invariants.as_matrix`
 
 
 def _least_rotation(w: Word) -> Word:

@@ -23,18 +23,25 @@ generator per row on every iteration, `power_iteration_rho_by_generators`;
 and the Tarjan search on vertex-keyed dicts, `components_by_vertex`;
 and the language reads that hashed every window, `contains_word_by_windows`
 and `short_words_by_windows`, with the path-count loop that built one
-generator per row on every step, `walks_by_generators`.
+generator per row on every step, `walks_by_generators`;
+and the presentation algorithms that built a labeled graph for every
+intermediate automaton, from `_subset_automaton` to
+`minimal_right_resolving`, with the boost precondition that counted
+paths on a subgraph of the edge shift, `_full_pair_subshift_present`,
+kept verbatim under their library names.
 Deliberately slow.
 """
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
 from shiftflow.errors import InvalidInput, NonConvergenceError, PartialBlockMapError, PreconditionError
-from shiftflow.graphs import DirectedGraph, Edge, from_adjacency
+from shiftflow.graphs import DirectedGraph, Edge, Vertex, _walks, from_adjacency, path_count
 from shiftflow.invariants import (
     Matrix,
     SignedBFGroup,
@@ -55,6 +62,7 @@ from shiftflow.moves import (
     _move_word,
     _transducer,
 )
+from shiftflow.presentations import LabeledGraph, labeled_graph
 from shiftflow.sft import (
     EdgeShiftData,
     ForbiddenSetSFT,
@@ -1249,3 +1257,170 @@ def walks_by_generators(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[l
     while True:
         yield vec
         vec = [sum(k * vec[j] for j, k in row) for row in rows]
+
+
+def _subset_automaton(
+    lg: LabeledGraph, include_singletons: bool = False
+) -> tuple[DirectedGraph, tuple[str, ...], Vertex]:
+    """Deterministic automaton of subsets reachable from the full vertex set.
+
+    Vertex names are tuples of original vertices in graph order.  Words
+    readable in `lg` correspond exactly to paths from the seed state.
+    With `include_singletons` every one-vertex subset is seeded too.
+    """
+    if not lg.graph.vertices:
+        raise PreconditionError("empty presentation")
+    order = {v: i for i, v in enumerate(lg.graph.vertices)}
+
+    def name(state: frozenset) -> tuple:
+        return tuple(sorted(state, key=order.__getitem__))
+
+    seed = frozenset(lg.graph.vertices)
+    seeds = [seed]
+    if include_singletons:
+        seeds.extend(frozenset([v]) for v in lg.graph.vertices)
+    queue: deque[frozenset] = deque()
+    seen: dict[frozenset, tuple] = {}
+    for s in seeds:
+        if s not in seen:
+            seen[s] = name(s)
+            queue.append(s)
+    states: list[frozenset] = []
+    arcs: list[tuple[tuple, tuple, str]] = []
+    while queue:
+        s = queue.popleft()
+        states.append(s)
+        follow: dict[str, set[Vertex]] = {}
+        for v in s:
+            for a, t in lg.out_labeled(v):
+                follow.setdefault(a, set()).add(t)
+        for a in sorted(follow):
+            nxt = frozenset(follow[a])
+            if nxt not in seen:
+                seen[nxt] = name(nxt)
+                queue.append(nxt)
+            arcs.append((seen[s], seen[nxt], a))
+    vertices = [seen[s] for s in states]
+    g = DirectedGraph.build(vertices, [(s, d) for s, d, _ in arcs])
+    return g, tuple([a for _, _, a in arcs]), seen[seed]
+
+
+def determinize(lg: LabeledGraph) -> LabeledGraph:
+    """Right-resolving presentation of the same sofic shift, essential part.
+
+    Subsets are seeded from the full vertex set and from every singleton,
+    so reachable one-vertex follower states show up even when the full
+    seed never narrows down to them.
+    """
+    g, labels, _ = _subset_automaton(lg, include_singletons=True)
+    return LabeledGraph(g, labels).essential_part()
+
+
+def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
+    """Coarsest partition where vertices agree on label -> class of target.
+
+    Assumes right-resolving input.  Absent labels distinguish states on
+    their own, since they vanish from the signature.
+    """
+    classes = {v: 0 for v in lg.graph.vertices}
+    step = {v: sorted(dict(lg.out_labeled(v)).items()) for v in lg.graph.vertices}
+    while True:
+        renumber: dict[tuple, int] = {}
+        new = {
+            v: renumber.setdefault((classes[v], tuple([(a, classes[t]) for a, t in out])), len(renumber))
+            for v, out in step.items()
+        }
+        if new == classes:
+            return classes
+        classes = new
+
+
+def _quotient(lg: LabeledGraph, classes: dict[Vertex, int]) -> LabeledGraph:
+    reps: dict[int, Vertex] = {}
+    for v in lg.graph.vertices:
+        reps.setdefault(classes[v], v)
+    order = sorted(reps)
+    rename = {c: str(i) for i, c in enumerate(order)}
+    arcs: list[tuple[str, str, str]] = []
+    for c in order:
+        v = reps[c]
+        for a, t in sorted(lg.out_labeled(v)):
+            arcs.append((rename[c], rename[classes[t]], a))
+    return labeled_graph([rename[c] for c in order], arcs)
+
+
+def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
+    """|B_n| for n = 1 .. upto: paths of length n from the seed of the
+    subset automaton of the essential part, the seed's entry of A^n 1.
+
+    Counting must run on the essential part: a label path that dead-ends
+    is readable but belongs to no point.
+    """
+    ess = lg.essential_part()
+    if not ess.graph.vertices:
+        return [0] * upto
+    g, _, seed = _subset_automaton(ess)
+    at = g.vertices.index(seed)
+    return [vec[at] for vec in islice(_walks(g.sparse_adjacency()), 1, upto + 1)]
+
+
+def _same_shift(p: LabeledGraph, q: LabeledGraph) -> bool:
+    """Whether p and q present the same shift: Moore's partition of their
+    subset automata (essential parts, both nonempty), joined side by side,
+    puts the two seeds in one class."""
+    vertices: list[tuple[int, Vertex]] = []
+    arcs: list[tuple[tuple, tuple, str]] = []
+    seeds = []
+    for tag, lg in enumerate((p, q)):
+        g, labels, seed = _subset_automaton(lg.essential_part())
+        vertices += [(tag, v) for v in g.vertices]
+        arcs += [((tag, e.src), (tag, e.dst), labels[e.eid]) for e in g.edges]
+        seeds.append((tag, seed))
+    classes = _moore_classes(labeled_graph(vertices, arcs))
+    return classes[seeds[0]] == classes[seeds[1]]
+
+
+def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
+    """Minimal right-resolving presentation of an irreducible sofic shift.
+
+    Determinize from the full vertex set, merge states with equal
+    follower sets, then keep the unique sink component, the one no edge
+    leaves.  Its language is contained in the input's; `_same_shift`
+    certifies equality.  Both subset automata are deterministic and every
+    state accepts, so Moore classes of their join are classes of equal
+    follower sets: the seeds share a class exactly when the languages are
+    equal.  Inputs presenting a reducible shift are rejected.
+    """
+    g, labels, _ = _subset_automaton(lg)
+    det = LabeledGraph(g, labels).essential_part()
+    if not det.graph.vertices:
+        raise PreconditionError("presentation has no bi-infinite points")
+    merged = _quotient(det, _moore_classes(det))
+    sinks = []
+    for comp in merged.graph.strongly_connected_components():
+        inside = set(comp.vertices)
+        if all(e.dst in inside for v in comp.vertices for e in merged.graph.out_edges(v)):
+            sinks.append(comp)
+    if len(sinks) == 1:
+        sink = sinks[0]
+        result = _quotient(LabeledGraph(sink, merged.labels), {v: i for i, v in enumerate(sink.vertices)})
+        if _same_shift(lg, result):
+            return result
+    raise PreconditionError(
+        "presentation is not an irreducible sofic shift; "
+        "minimize each strongly connected component separately"
+    )
+
+
+def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int) -> bool:
+    """Whether every {a, b}-word of the given length is in the language."""
+    data = _edge_shift(x)
+    m = x.step
+    pair = {a, b}
+    if length <= m:
+        pair_words = [w for w in _short_words(data, length) if all(s in pair for s in w)]
+        return len(pair_words) == 2**length
+    sub_edges = [e for e in data.graph.edges if all(s in pair for s in data.edge_words[e.eid])]
+    endpoints = sorted({e.src for e in sub_edges} | {e.dst for e in sub_edges})
+    sub = DirectedGraph(tuple(endpoints), tuple(sub_edges))
+    return path_count(sub, length - m) == 2**length

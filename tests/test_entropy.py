@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -29,8 +29,8 @@ from shiftflow import (
     to_m_step,
 )
 
-from shiftflow.entropy import _power_iteration_rho
-from shiftflow.presentations import _sofic_word_counts, _subset_automaton
+from shiftflow.entropy import _full_pair_subshift_present, _power_iteration_rho
+from shiftflow.presentations import _sofic_word_counts
 
 from . import oracles
 from .oracles import counts_from_dense, path_count_dense, power_iteration_rho_dense, spectral_radius_by_iteration
@@ -251,12 +251,13 @@ def test_sparse_graph_core_matches_dense_oracles():
         arcs = [(i, (i + 1) % n, rng.choice("abc")) for i in range(n)] if k % 2 else []
         arcs += [(rng.randrange(n), rng.randrange(n), rng.choice("abc")) for _ in range(rng.randint(0, 2 * n))]
         lg = labeled_graph(range(n), arcs)
-        ess = lg.essential_part()
-        if ess.graph.vertices:
-            aut, _, seed = _subset_automaton(ess)
-            expected = counts_from_dense(_dense(aut), aut.vertices.index(seed), 12)
-        else:
-            expected = [0] * 12
+        delta, seed = oracles._seed_automaton(arcs)
+        states = {s: i for i, s in enumerate(delta)}
+        aut = [[0] * len(states) for _ in states]
+        for s, row in delta.items():
+            for t in row.values():
+                aut[states[s]][states[t]] += 1
+        expected = counts_from_dense(aut, states[seed], 12) if seed else [0] * 12
         assert _sofic_word_counts(lg, 12) == expected
 
 
@@ -300,3 +301,23 @@ def test_boost_precondition_on_words_shorter_than_the_step():
 def test_boost_construction_is_the_pipeline_result():
     x = full_shift(["a", "b"])
     assert boost_entropy_construction(x, "a", "b", 1) == boost_entropy_pipeline(x, "a", "b", 1).result
+
+
+def test_boost_precondition_reads_the_automaton():
+    """The free-pair precondition counts {a, b}-paths on the rows of the
+    edge shift's automaton, and answers as the path count on a subgraph
+    of the edge shift did: 250 seeded SFTs over 2-4 symbols, every
+    ordered pair of symbols, lengths 1-10, below and above the step."""
+    rng = random.Random(20261019)
+    symbol_sets = (("a", "b"), ("a", "◇2", "b"), ("a", "b", "c"), ("a", "b", "c", "d"))
+    verdicts = []
+    for _ in range(250):
+        symbols = rng.choice(symbol_sets)
+        forbidden = [[rng.choice(symbols) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(0, 3))]
+        x = sft(symbols, forbidden)
+        for a, b in permutations(symbols, 2):
+            for length in range(1, 11):
+                verdict = _full_pair_subshift_present(x, a, b, length)
+                assert verdict == oracles._full_pair_subshift_present(x, a, b, length), (x, a, b, length)
+                verdicts.append((verdict, length > x.step))
+    assert all(verdicts.count((v, above)) > 500 for v in (True, False) for above in (True, False))

@@ -19,14 +19,17 @@ from shiftflow import (
     is_right_resolving,
     labeled_graph,
     minimal_right_resolving,
+    perron_entropy,
     sft,
     sft_presentation,
     sofic_entropy,
     symbol_expand,
 )
 from shiftflow import presentations
+from shiftflow.graphs import DirectedGraph
 from shiftflow.jsonio import dumps, labeled_graph_json
 
+from . import oracles
 from .oracles import same_language_by_counting
 
 # Standard presentation of the even shift: 0-runs between 1s have even length.
@@ -336,3 +339,89 @@ def test_minimize_seed_2499_graph_within_budget():
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
     assert dumps(labeled_graph_json(m)) == SEED_2499_MINIMAL
+
+
+def _index_form_case(seed: int) -> LabeledGraph:
+    """Seeded graph on 1-7 vertices and 1-3 labels; seed % 4 picks the
+    kind: a spanning cycle plus random edges, random edges alone, two
+    cycles with edges from the first toward the second (reducible), or
+    edges that only go forward (empty essential part).  Random edges
+    repeat an earlier edge now and then, label and all or with a new
+    label, and may be self-loops."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    labels = "abc"[: rng.randint(1, 3)]
+    names = rng.sample(range(10), n)
+    kind = seed % 4
+    if kind == 3:
+        forward = itertools.combinations(names, 2)
+        return labeled_graph(names, [(s, d, rng.choice(labels)) for s, d in forward for _ in range(rng.randint(0, 2))])
+    arcs = []
+    if kind == 0:
+        arcs += [(names[i], names[(i + 1) % n], rng.choice(labels)) for i in range(n)]
+    if kind == 2:
+        cut = rng.randint(1, n)
+        for part in (names[:cut], names[cut:]):
+            arcs += [(part[i], part[(i + 1) % len(part)], rng.choice(labels)) for i in range(len(part))]
+        arcs += [(rng.choice(names[:cut]), rng.choice(names[cut - 1 :]), rng.choice(labels)) for _ in range(2)]
+    for _ in range(rng.randint(0, 2 * n)):
+        if arcs and rng.random() < 0.25:
+            s, d, lab = rng.choice(arcs)
+            arcs.append((s, d, lab if rng.random() < 0.5 else rng.choice(labels)))
+        else:
+            arcs.append((rng.choice(names), rng.choice(names), rng.choice(labels)))
+    return labeled_graph(names, arcs)
+
+
+def _outcome(f, *args):
+    try:
+        out = f(*args)
+    except Exception as exc:  # the oracle must raise the same, message and all
+        return type(exc), str(exc)
+    return dumps(labeled_graph_json(out)) if isinstance(out, LabeledGraph) else out
+
+
+def test_index_automaton_matches_the_graph_pipeline():
+    """Subset automaton, Moore classes, trim and quotient on index rows
+    give the bytes of the pipeline that built a labeled graph for every
+    intermediate automaton: determinize, minimize (refusals included),
+    sofic entropy and word counts, and the shift-equality certificate
+    against each strongly connected sub-presentation."""
+    kinds = {"accepted": 0, "refused": 0, "empty": 0, "parallel": 0, "loop": 0, "pairs": 0}
+    for seed in range(2000):
+        lg = _index_form_case(seed)
+        assert _outcome(determinize, lg) == _outcome(oracles.determinize, lg)
+        got = _outcome(minimal_right_resolving, lg)
+        assert got == _outcome(oracles.minimal_right_resolving, lg), seed
+        kinds["accepted" if isinstance(got, str) else "refused"] += 1
+        assert _outcome(sofic_entropy, lg) == _outcome(lambda g: perron_entropy(oracles.determinize(g).graph), lg)
+        assert presentations._sofic_word_counts(lg, 12) == oracles._sofic_word_counts(lg, 12)
+        for comp in lg.graph.strongly_connected_components():
+            sub = LabeledGraph(comp, lg.labels)
+            assert presentations._same_shift(lg, sub) == oracles._same_shift(lg, sub)
+            kinds["pairs"] += 1
+        arcs = _arcs(lg)
+        kinds["empty"] += not lg.essential_part().graph.vertices
+        kinds["parallel"] += len({(s, d) for s, d, _ in arcs}) < len(arcs)
+        kinds["loop"] += any(s == d for s, d, _ in arcs)
+    assert min(kinds.values()) > 200, kinds
+
+
+def test_minimize_builds_three_graphs(monkeypatch):
+    """One minimization builds its result and the two essential parts the
+    certificate reads, and no graph for the automata in between."""
+    built = []
+    post_init = DirectedGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    lg = labeled_graph(
+        "wxyz",
+        [("w", "x", "0"), ("w", "y", "0"), ("x", "w", "1"), ("y", "z", "0"), ("z", "w", "1"), ("z", "z", "0")],
+    )
+    monkeypatch.setattr(DirectedGraph, "__post_init__", counting)
+    m = minimal_right_resolving(lg)
+    assert len(built) <= 3
+    assert m.graph in built
