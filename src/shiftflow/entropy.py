@@ -11,7 +11,7 @@ from typing import Sequence
 from .errors import InvalidInput, NonConvergenceError
 from .graphs import DirectedGraph, _adjacency_rows, _components, _walks, from_adjacency
 from .moves import MovePipeline
-from .presentations import LabeledGraph, _sofic_word_counts, determinize
+from .presentations import LabeledGraph, _index_rows, _sofic_word_counts, _subset_automaton
 from .sft import ForbiddenSetSFT, _edge_shift, _short_words, language_count
 from .words import Word
 
@@ -124,34 +124,37 @@ def _power_iteration_rho(rows: Sequence[Sequence[tuple[int, int]]], tol: float, 
     )
 
 
-def _component_rows(obj) -> list[list[list[tuple[int, int]]]]:
-    """Index rows of each strongly connected component that has an edge,
-    renumbered within the component in increasing order: the rows of
-    `sparse_adjacency` of that component's subgraph."""
-    rows = _rows(obj)
-    out = []
+def _perron(rows: Sequence[Sequence[tuple[int, int]]], tol: float, max_iterations: int) -> EntropyEstimate:
+    """Entropy as log2 of the largest spectral radius over the strongly
+    connected components that have an edge, of the graph with these index
+    rows; each component's rows are renumbered in increasing order, the
+    rows of `sparse_adjacency` of that component's subgraph."""
+    rho = 1.0
     for comp in _components(rows):
         at = {i: p for p, i in enumerate(comp)}
-        out.append([[(at[j], k) for j, k in rows[i] if j in at] for i in comp])
-    return out
+        sub = [[(at[j], k) for j, k in rows[i] if j in at] for i in comp]
+        rho = max(rho, _power_iteration_rho(sub, tol, max_iterations))
+    return EntropyEstimate(log2(rho) if rho > 1.0 else 0.0, "perron")
 
 
 def perron_entropy(obj, tol: float = 1e-12, max_iterations: int = 100_000) -> EntropyEstimate:
     """Entropy as log2 of the largest spectral radius over the strongly
     connected components.  A graph with no cycles has entropy 0."""
-    rho = 1.0
-    for rows in _component_rows(obj):
-        rho = max(rho, _power_iteration_rho(rows, tol, max_iterations))
-    return EntropyEstimate(log2(rho) if rho > 1.0 else 0.0, "perron")
+    return _perron(_rows(obj), tol, max_iterations)
 
 
 def sofic_entropy(lg: LabeledGraph, tol: float = 1e-12, max_iterations: int = 100_000) -> EntropyEstimate:
     """Entropy of the sofic shift a labeled graph presents.
 
-    The graph is determinized first, so label collisions on multiple
-    paths are not double counted.
+    Perron runs on the index rows of `determinize`'s subset automaton,
+    parallel transitions merged into counts, so label collisions on
+    multiple paths are not double counted, and no graph is built.  The
+    components that have an edge lie in the automaton's essential part,
+    so no trim is needed, and each one's rows are those of
+    `determinize(lg).graph`: the floats are that graph's Perron entropy.
     """
-    return perron_entropy(determinize(lg).graph, tol=tol, max_iterations=max_iterations)
+    _, delta = _subset_automaton(lg, include_singletons=True)
+    return _perron(_index_rows(delta), tol, max_iterations)
 
 
 def scale_entropy_construction(obj, n: int) -> DirectedGraph:

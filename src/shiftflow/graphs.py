@@ -57,25 +57,20 @@ class DirectedGraph:
         return self._out.get(v, ())
 
     def essential_part(self) -> "DirectedGraph":
-        """Repeatedly remove vertices with no outgoing or no incoming edge.
+        """Largest subgraph where every vertex has an edge in and an edge
+        out, by the one queue trim `_essential`; the graph itself when
+        nothing drops.
 
         Edge objects (and their ids) are kept, not renumbered, so labels
         indexed by id remain valid on the result.
         """
-        vertices = list(self.vertices)
-        edges = list(self.edges)
-        while True:
-            outs = {v: 0 for v in vertices}
-            ins = {v: 0 for v in vertices}
-            for e in edges:
-                outs[e.src] += 1
-                ins[e.dst] += 1
-            keep = [v for v in vertices if outs[v] > 0 and ins[v] > 0]
-            if len(keep) == len(vertices):
-                return DirectedGraph(tuple(vertices), tuple(edges))
-            kept = set(keep)
-            vertices = keep
-            edges = [e for e in edges if e.src in kept and e.dst in kept]
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        keep = _essential(len(idx), [idx[e.src] for e in self.edges], [idx[e.dst] for e in self.edges])
+        if len(keep) == len(self.vertices):
+            return self
+        vertices = [self.vertices[i] for i in keep]
+        kept = set(vertices)
+        return DirectedGraph(tuple(vertices), tuple([e for e in self.edges if e.src in kept and e.dst in kept]))
 
     def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Integer matrix indexed by vertex order: entry (i, j) counts i -> j edges."""
@@ -125,7 +120,8 @@ class DirectedGraph:
 
 
 def essentialize(graph: DirectedGraph) -> DirectedGraph:
-    """Largest subgraph where every vertex has an edge in and an edge out."""
+    """Largest subgraph where every vertex has an edge in and an edge out
+    (`DirectedGraph.essential_part`)."""
     return graph.essential_part()
 
 
@@ -203,17 +199,42 @@ def _components(rows: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
     return components
 
 
-def _essential(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """The indices of `DirectedGraph.essential_part`, in increasing order,
-    for the graph with these index rows."""
-    keep = range(len(rows))
-    while True:
-        kept = set(keep)
-        entered = {j for i in keep for j, _ in rows[i]}
-        new = [i for i in keep if i in entered and any(j in kept for j, _ in rows[i])]
-        if len(new) == len(keep):
-            return new
-        keep = new
+def _essential(n: int, src: Sequence[int], dst: Sequence[int]) -> list[int]:
+    """Indices of the largest subgraph where every vertex has an edge in
+    and an edge out, in increasing order, for the graph on vertices
+    0..n-1 with an edge src[k] -> dst[k] for each k.
+
+    A queue trim in O(V + E): unless every vertex is a source and a
+    target already, degrees are counted once, and each vertex that drops
+    decrements its neighbours' degrees, listing those that reach 0.
+    Which order vertices drop in does not change what is left.
+    """
+    if len(set(src)) == n and len(set(dst)) == n:
+        return list(range(n))
+    outs = [0] * n
+    ins = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for s, d in zip(src, dst):
+        outs[s] += 1
+        ins[d] += 1
+        succ[s].append(d)
+        preds[d].append(s)
+    alive = [bool(k and ins[i]) for i, k in enumerate(outs)]
+    dead = [i for i, a in enumerate(alive) if not a]
+    while dead:
+        i = dead.pop()
+        for j in succ[i]:
+            ins[j] -= 1
+            if not ins[j] and alive[j]:
+                alive[j] = False
+                dead.append(j)
+        for j in preds[i]:
+            outs[j] -= 1
+            if not outs[j] and alive[j]:
+                alive[j] = False
+                dead.append(j)
+    return [i for i, a in enumerate(alive) if a]
 
 
 def _walks(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:

@@ -39,7 +39,10 @@ class LabeledGraph:
         return tuple(sorted({self.labels[e.eid] for e in self.graph.edges}))
 
     def essential_part(self) -> "LabeledGraph":
-        return LabeledGraph(self.graph.essential_part(), self.labels)
+        """`DirectedGraph.essential_part` with the labels; the labeled
+        graph itself when nothing drops."""
+        graph = self.graph.essential_part()
+        return self if graph is self.graph else LabeledGraph(graph, self.labels)
 
     def out_labeled(self, v: Vertex) -> list[tuple[str, Vertex]]:
         return [(self.labels[e.eid], e.dst) for e in self.graph.out_edges(v)]
@@ -106,8 +109,22 @@ def _subset_automaton(
 
 
 def _index_rows(delta: list[dict[str, int]]) -> list[list[tuple[int, int]]]:
-    """Index rows of an automaton, one (next, 1) pair per label."""
-    return [[(t, 1) for t in row.values()] for row in delta]
+    """Index rows of an automaton: per state the (next, number of labels
+    leading there) pairs in increasing next, the `sparse_adjacency` of the
+    automaton built as a graph."""
+    rows = []
+    for row in delta:
+        counts: dict[int, int] = {}
+        for t in row.values():
+            counts[t] = counts.get(t, 0) + 1
+        rows.append(sorted(counts.items()))
+    return rows
+
+
+def _trim(delta: list[dict[str, int]]) -> list[int]:
+    """The states of the automaton's essential part, in increasing order."""
+    src = [i for i, row in enumerate(delta) for _ in row]
+    return _essential(len(delta), src, [t for row in delta for t in row.values()])
 
 
 def _restrict(delta: list[dict[str, int]], keep: list[int]) -> list[dict[str, int]]:
@@ -121,11 +138,22 @@ def determinize(lg: LabeledGraph) -> LabeledGraph:
 
     Subsets are seeded from the full vertex set and from every singleton,
     so reachable one-vertex follower states show up even when the full
-    seed never narrows down to them.
+    seed never narrows down to them.  The automaton is trimmed on its
+    rows, and the one graph built holds only the survivors, with the
+    vertices, edges and ids of the whole automaton's essential part.
     """
     names, delta = _subset_automaton(lg, include_singletons=True)
-    arcs = [(names[i], names[t], a) for i, row in enumerate(delta) for a, t in row.items()]
-    return labeled_graph(names, arcs).essential_part()
+    keep = _trim(delta)
+    kept = set(keep)
+    edges = []
+    labels = []
+    # Ids count every arc, so they are those of the whole automaton's graph.
+    for i, row in enumerate(delta):
+        for a, t in row.items():
+            if i in kept and t in kept:
+                edges.append(Edge(names[i], names[t], len(labels)))
+            labels.append(a)
+    return LabeledGraph(DirectedGraph(tuple([names[i] for i in keep]), tuple(edges)), tuple(labels))
 
 
 def _moore_classes(delta: list[dict[str, int]]) -> list[int]:
@@ -159,15 +187,31 @@ def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
     return [vec[0] for vec in islice(_walks(_index_rows(delta)), 1, upto + 1)]
 
 
-def _same_shift(p: LabeledGraph, q: LabeledGraph) -> bool:
-    """Whether p and q present the same shift: Moore's partition of their
-    subset automata (essential parts, both nonempty), joined side by side,
-    puts the two seeds in one class."""
-    _, first = _subset_automaton(p.essential_part())
+def _same_shift(p: LabeledGraph, q: LabeledGraph, first: list[dict[str, int]] | None = None) -> bool:
+    """Whether p and q present the same shift, by a walk over pairs of
+    states of their subset automata (essential parts, both nonempty) from
+    the two seeds.  `first`, when given, is p's automaton.
+
+    Both automata are deterministic and every state accepts, so a word
+    reads in one exactly when it reads in the other until some reached
+    pair offers different labels: the languages are equal iff no pair does.
+    """
+    if first is None:
+        _, first = _subset_automaton(p.essential_part())
     _, second = _subset_automaton(q.essential_part())
-    n = len(first)
-    classes = _moore_classes(first + [{a: t + n for a, t in row.items()} for row in second])
-    return classes[0] == classes[n]
+    seen = {(0, 0)}
+    todo = [(0, 0)]
+    while todo:
+        i, j = todo.pop()
+        here, there = first[i], second[j]
+        if here.keys() != there.keys():
+            return False
+        for a, t in here.items():
+            pair = (t, there[a])
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
 
 
 def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
@@ -176,17 +220,16 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     Determinize from the full vertex set, keep the essential states,
     merge states with equal follower sets, then keep the unique sink
     component, the one no edge leaves, all on index rows.  Its language
-    is contained in the input's; `_same_shift` certifies equality.  Both
-    subset automata are deterministic and every state accepts, so Moore
-    classes of their join are classes of equal follower sets: the seeds
-    share a class exactly when the languages are equal.  Inputs
+    is contained in the input's; `_same_shift` certifies equality by its
+    pair walk.  When the input is its own essential part, the
+    determinization is the certificate's automaton of the input.  Inputs
     presenting a reducible shift are rejected.
     """
-    _, delta = _subset_automaton(lg)
-    keep = _essential(_index_rows(delta))
+    _, det = _subset_automaton(lg)
+    keep = _trim(det)
     if not keep:
         raise PreconditionError("presentation has no bi-infinite points")
-    delta = _restrict(delta, keep)
+    delta = _restrict(det, keep)
     classes = _moore_classes(delta)
     first = dict(zip(reversed(classes), reversed(range(len(classes)))))  # each class's least state
     merged = [{a: classes[t] for a, t in delta[first[c]].items()} for c in range(len(first))]
@@ -196,7 +239,8 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
         sink = _restrict(merged, sinks[0])
         arcs = [(str(i), str(t), a) for i, row in enumerate(sink) for a, t in row.items()]
         result = labeled_graph([str(i) for i in range(len(sink))], arcs)
-        if _same_shift(lg, result):
+        ess = lg.essential_part()
+        if _same_shift(ess, result, det if ess is lg else None):
             return result
     raise PreconditionError(
         "presentation is not an irreducible sofic shift; "

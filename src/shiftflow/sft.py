@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
-from .graphs import DirectedGraph, Edge, _walks, path_count
+from .graphs import DirectedGraph, Edge, _essential, _walks, path_count
 from .words import EMPTY_WORD, Alphabet, Word, _check_symbols, _windows, _word
 
 
@@ -116,13 +116,28 @@ class EdgeShiftData:
         return index, delta
 
 
+def _essential_graph(words: list[tuple[str, ...]], m: int) -> DirectedGraph:
+    """The essential part of the graph with an edge w[:m] -> w[1:] for
+    each (m+1)-word w, id its position: trimmed on index rows, so the one
+    graph built holds only the survivors, in the vertices' sorted order
+    and with the ids the untrimmed graph would give them."""
+    names = sorted({w[:m] for w in words} | {w[1:] for w in words})
+    at = {v: i for i, v in enumerate(names)}
+    src = [at[w[:m]] for w in words]
+    dst = [at[w[1:]] for w in words]
+    del at  # not held while the edges are built
+    vertex: list[Word | None] = [None] * len(names)
+    for i in _essential(len(names), src, dst):
+        vertex[i] = _word(names[i])
+    edges = [Edge(vertex[s], vertex[d], i) for i, (s, d) in enumerate(zip(src, dst))
+             if vertex[s] is not None and vertex[d] is not None]
+    return DirectedGraph(tuple([v for v in vertex if v is not None]), tuple(edges))
+
+
 @lru_cache(maxsize=512)
 def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
-    m = x.step
-    words = _admissible_words(x.alphabet, x.forbidden, m + 1)
-    vertex = {v: _word(v) for v in sorted({w[:m] for w in words} | {w[1:] for w in words})}
-    edges = tuple([Edge(vertex[w[:m]], vertex[w[1:]], i) for i, w in enumerate(words)])
-    graph = DirectedGraph(tuple(vertex.values()), edges).essential_part()
+    words = _admissible_words(x.alphabet, x.forbidden, x.step + 1)
+    graph = _essential_graph(words, x.step)
     edge_words = tuple([_word(w) for w in words])  # from a list: see `invariants.as_matrix`
     live = frozenset(edge_words[e.eid] for e in graph.edges)
     return EdgeShiftData(graph, edge_words, live)

@@ -21,6 +21,9 @@ orbits, `determinant_by_bareiss` to `single_orbit_by_cycle_walk`; and
 the Perron power loop that built one
 generator per row on every iteration, `power_iteration_rho_by_generators`;
 and the Tarjan search on vertex-keyed dicts, `components_by_vertex`;
+and the essential trim that recounted every edge in each round,
+`essential_part_by_rescanning`, which the edge-shift and presentation
+oracles trim with; and the gap-shift presentation `gap_shift_presentation`;
 and the language reads that hashed every window, `contains_word_by_windows`
 and `short_words_by_windows`, with the path-count loop that built one
 generator per row on every step, `walks_by_generators`;
@@ -545,7 +548,8 @@ def image_by_windows(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet)
     m = max(x.step, window - 1)
     words = _admissible_words(x.alphabet, x.forbidden, m + 1)
     vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
-    graph = DirectedGraph(tuple(vertices), tuple(Edge(w[:m], w[1:], i) for i, w in enumerate(words))).essential_part()
+    graph = DirectedGraph(tuple(vertices), tuple(Edge(w[:m], w[1:], i) for i, w in enumerate(words)))
+    graph = essential_part_by_rescanning(graph)
     out = {e.eid: rule(words[e.eid][-window:]) for e in graph.edges}
     jmax = k + 1
     found: set[Word] = set()
@@ -584,7 +588,7 @@ def edge_shift_by_words(x: ForbiddenSetSFT) -> EdgeShiftData:
     words = admissible_words_by_words(x.alphabet, x.forbidden, m + 1)
     vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
     edges = tuple([Edge(w[:m], w[1:], i) for i, w in enumerate(words)])
-    graph = DirectedGraph(tuple(vertices), edges).essential_part()
+    graph = essential_part_by_rescanning(DirectedGraph(tuple(vertices), edges))
     edge_words = tuple(words)
     live = frozenset(edge_words[e.eid] for e in graph.edges)
     return EdgeShiftData(graph, edge_words, live)
@@ -1141,6 +1145,40 @@ def components_by_vertex(graph: DirectedGraph) -> list[DirectedGraph]:
     return out
 
 
+def gap_shift_presentation(s: EventuallyPeriodicGaps) -> LabeledGraph:
+    """Right-resolving presentation of the gap shift of R + (T + N*n) on
+    states 0..K-1, K = max(max R + 1, max T) + N: state k counts the 0's
+    since the last 1, goes to k + 1 on `0` (K - 1 goes back to K - N) and
+    to 0 on `1` when k is a member.  The cycle starts past every sporadic
+    element and every offset, so each cycle state stands for one residue
+    class of the tail, all of whose members it holds."""
+    top = max(max(s.R, default=-1) + 1, max(s.T)) + s.N
+    member = [k in s.R or any(k >= t and (k - t) % s.N == 0 for t in s.T) for k in range(top)]
+    arcs = [(k, k + 1 if k + 1 < top else top - s.N, "0") for k in range(top)]
+    arcs += [(k, 0, "1") for k in range(top) if member[k]]
+    return labeled_graph(range(top), arcs)
+
+
+def essential_part_by_rescanning(graph: DirectedGraph) -> DirectedGraph:
+    """`DirectedGraph.essential_part` by rounds: each round recounts the
+    in- and out-edges of every vertex left and drops those missing one,
+    O(rounds x E), the rounds as many as the longest dead chain."""
+    vertices = list(graph.vertices)
+    edges = list(graph.edges)
+    while True:
+        outs = {v: 0 for v in vertices}
+        ins = {v: 0 for v in vertices}
+        for e in edges:
+            outs[e.src] += 1
+            ins[e.dst] += 1
+        keep = [v for v in vertices if outs[v] > 0 and ins[v] > 0]
+        if len(keep) == len(vertices):
+            return DirectedGraph(tuple(vertices), tuple(edges))
+        kept = set(keep)
+        vertices = keep
+        edges = [e for e in edges if e.src in kept and e.dst in kept]
+
+
 def is_strongly_connected_by_vertex(graph: DirectedGraph) -> bool:
     if not graph.vertices:
         return False
@@ -1313,7 +1351,7 @@ def determinize(lg: LabeledGraph) -> LabeledGraph:
     seed never narrows down to them.
     """
     g, labels, _ = _subset_automaton(lg, include_singletons=True)
-    return LabeledGraph(g, labels).essential_part()
+    return LabeledGraph(essential_part_by_rescanning(g), labels)
 
 
 def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
@@ -1356,7 +1394,7 @@ def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
     Counting must run on the essential part: a label path that dead-ends
     is readable but belongs to no point.
     """
-    ess = lg.essential_part()
+    ess = LabeledGraph(essential_part_by_rescanning(lg.graph), lg.labels)
     if not ess.graph.vertices:
         return [0] * upto
     g, _, seed = _subset_automaton(ess)
@@ -1372,7 +1410,7 @@ def _same_shift(p: LabeledGraph, q: LabeledGraph) -> bool:
     arcs: list[tuple[tuple, tuple, str]] = []
     seeds = []
     for tag, lg in enumerate((p, q)):
-        g, labels, seed = _subset_automaton(lg.essential_part())
+        g, labels, seed = _subset_automaton(LabeledGraph(essential_part_by_rescanning(lg.graph), lg.labels))
         vertices += [(tag, v) for v in g.vertices]
         arcs += [((tag, e.src), (tag, e.dst), labels[e.eid]) for e in g.edges]
         seeds.append((tag, seed))
@@ -1392,7 +1430,7 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     equal.  Inputs presenting a reducible shift are rejected.
     """
     g, labels, _ = _subset_automaton(lg)
-    det = LabeledGraph(g, labels).essential_part()
+    det = LabeledGraph(essential_part_by_rescanning(g), labels)
     if not det.graph.vertices:
         raise PreconditionError("presentation has no bi-infinite points")
     merged = _quotient(det, _moore_classes(det))

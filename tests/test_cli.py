@@ -13,7 +13,10 @@ import pytest
 
 from shiftflow import to_m_step
 from shiftflow.cli import main
-from shiftflow.jsonio import dumps, parse_sft, sft_json
+from shiftflow.jsonio import dumps, graph_json, parse_sft, sft_json
+from shiftflow.sft import _edge_shift
+
+from .oracles import edge_shift_by_words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GM = '{"alphabet":["0","1"],"forbidden":["11"]}'
@@ -109,6 +112,31 @@ def test_graph_edge_shift_refuses_clashing_names(capsys):
     code, out, _ = run(capsys, ["graph", "edge-shift", '{"alphabet":["◇2","0"],"forbidden":[["◇2","◇2"]]}'])
     assert code == 0
     assert json.loads(out)["vertices"] == ["0", "◇2"]
+
+
+def test_graph_edge_shift_bytes_match_the_rescanning_trim(capsys):
+    """`graph edge-shift` prints the bytes of the edge shift trimmed by
+    the oracle that recounted every edge in each round: vertex order and
+    edge ids survive the queue trim, with multi-codepoint symbols and
+    with dead chains of several rounds."""
+    docs = [
+        GM,
+        '{"alphabet":["◇2","0"],"forbidden":[["◇2","◇2"]]}',
+        # ◇3 only leads to ◇2, which leads nowhere: a two-round dead chain.
+        '{"alphabet":["a","◇2","◇3"],"forbidden":[["◇2","a"],["◇2","◇2"],["◇2","◇3"],["◇3","a"],["◇3","◇3"]]}',
+        '{"alphabet":["0","1","◇2"],"forbidden":[["1","1"],["0","◇2","0"],["◇2","◇2","1"],["1","0","◇2"]]}',
+        '{"alphabet":["a","b","c"],"forbidden":["cc","ca","cbb","bcb","acb"]}',
+        '{"alphabet":["x","yé"],"forbidden":[["yé","x","x"],["x","yé","yé"],["yé","yé","yé"]]}',
+    ]
+    trimmed = 0
+    for doc in docs:
+        x = parse_sft(json.loads(doc))
+        _edge_shift.cache_clear()
+        want = edge_shift_by_words(x)
+        labels = {e.eid: want.edge_words[e.eid].text() for e in want.graph.edges}
+        assert run(capsys, ["graph", "edge-shift", doc]) == (0, dumps(graph_json(want.graph, labels)) + "\n", ""), doc
+        trimmed += len(want.graph.edges) < len(want.edge_words)
+    assert trimmed >= 3
 
 
 def test_presentation_minimize(capsys):

@@ -238,17 +238,22 @@ def _minimize_outcome(lg: LabeledGraph) -> tuple[str, str]:
 
 
 def test_moore_certificate_matches_counting_oracle(monkeypatch):
-    """The Moore-partition certificate and word counting up to the horizon
-    give the same verdict on every pair they are asked about, and
-    minimization accepts or refuses (same message) under either."""
+    """The pair-walk certificate, the Moore-partition certificate it
+    replaced and word counting up to the horizon give the same verdict on
+    every pair they are asked about, and minimization accepts or refuses
+    (same message) under either.  The automaton minimization hands the
+    certificate is the one the certificate would build itself."""
     graphs = [_differential_graph(seed) for seed in range(300)]
-    moore = presentations._same_shift
+    walk = presentations._same_shift
     verdicts = []
 
-    def checked(p, q):
-        verdict = moore(p, q)
+    def checked(p, q, first=None):
+        if first is not None:
+            assert first == presentations._subset_automaton(p.essential_part())[1]
+        verdict = walk(p, q, first)
         assert verdict == same_language_by_counting(_arcs(p), _arcs(q)), (_arcs(p), _arcs(q))
-        verdicts.append(verdict)
+        assert verdict == oracles._same_shift(p, q)
+        verdicts.append((verdict, first is not None))
         return verdict
 
     # Pairs beyond minimization: the graph against each of its strongly
@@ -258,9 +263,12 @@ def test_moore_certificate_matches_counting_oracle(monkeypatch):
             checked(lg, LabeledGraph(comp, lg.labels))
     monkeypatch.setattr(presentations, "_same_shift", checked)
     outcomes = [_minimize_outcome(lg) for lg in graphs]
-    monkeypatch.setattr(presentations, "_same_shift", lambda p, q: same_language_by_counting(_arcs(p), _arcs(q)))
+    monkeypatch.setattr(
+        presentations, "_same_shift", lambda p, q, first=None: same_language_by_counting(_arcs(p), _arcs(q))
+    )
     assert [_minimize_outcome(lg) for lg in graphs] == outcomes
-    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+    assert sum(v for v, _ in verdicts) > 100 and sum(not v for v, _ in verdicts) > 100
+    assert sum(reused for _, reused in verdicts) > 100
     refused = {msg for kind, msg in outcomes if kind == "refused"}
     assert refused == {
         "presentation is not an irreducible sofic shift; minimize each strongly connected component separately"
@@ -407,9 +415,11 @@ def test_index_automaton_matches_the_graph_pipeline():
     assert min(kinds.values()) > 200, kinds
 
 
-def test_minimize_builds_three_graphs(monkeypatch):
-    """One minimization builds its result and the two essential parts the
-    certificate reads, and no graph for the automata in between."""
+def test_minimize_builds_only_its_result(monkeypatch):
+    """One minimization of an essential presentation builds its result
+    and no other graph: the certificate reuses the determinization, and
+    both essential parts are the graphs themselves.  An input with a dead
+    end adds one graph, its essential part."""
     built = []
     post_init = DirectedGraph.__post_init__
 
@@ -417,11 +427,13 @@ def test_minimize_builds_three_graphs(monkeypatch):
         built.append(self)
         post_init(self)
 
-    lg = labeled_graph(
-        "wxyz",
-        [("w", "x", "0"), ("w", "y", "0"), ("x", "w", "1"), ("y", "z", "0"), ("z", "w", "1"), ("z", "z", "0")],
-    )
+    arcs = [("w", "x", "0"), ("w", "y", "0"), ("x", "w", "1"), ("y", "z", "0"), ("z", "w", "1"), ("z", "z", "0")]
+    lg = labeled_graph("wxyz", arcs)
+    dead_end = labeled_graph("wxyzd", arcs + [("w", "d", "1")])
     monkeypatch.setattr(DirectedGraph, "__post_init__", counting)
     m = minimal_right_resolving(lg)
-    assert len(built) <= 3
-    assert m.graph in built
+    assert len(built) == 1 and built[0] is m.graph
+    built.clear()
+    m = minimal_right_resolving(dead_end)
+    assert len(built) == 2 and built[0] is m.graph
+    assert built[1].vertices == tuple("wxyz")

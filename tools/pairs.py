@@ -8,11 +8,12 @@ the order flips every pair, so a drift of the host's speed does not
 favour one side.  For every run it prints `correct`, `failed`, the
 number of rounds and `peak_rss_mib`, so memory can be read against the
 round count pair by pair; then, per end-to-end metric, each side's
-median and quartiles, and how many pairs the change won on
-`throughput_ops_s`.  Last, for each `end_to_end` metric of the
+median and quartiles.  Last, for each `end_to_end` metric of the
 `BENCHMARK.json` next to this tool, it prints the change/parent ratio of
 the medians and how much worse the change is in that metric's bad
-direction, flagged `beyond bound` when that exceeds the metric's bound.
+direction, flagged `beyond bound` when that exceeds the metric's bound,
+and in how many pairs the change was better in that metric's good
+direction (ties count for neither side).
 Then it separates memory from round count: `peak_rss_mib` is fitted
 against `rounds` over the runs of both sides, each side centred on its
 own means, so a difference between the sides that does not depend on the
@@ -90,18 +91,17 @@ def main(argv: list[str]) -> int:
             q1, q2, q3 = quartiles([r["metrics"][name]["value"] for r in runs[side]])
             cells.append(f"{side} {q2:.6g} [{q1:.6g}, {q3:.6g}]")
         print(f"{name} ({metric['unit']}): " + "; ".join(cells))
-    wins = sum(
-        c["metrics"]["throughput_ops_s"]["value"] > p["metrics"]["throughput_ops_s"]["value"]
-        for p, c in zip(runs["parent"], runs["change"])
-    )
-    print(f"throughput_ops_s: change wins {wins} of {args.pairs} pairs")
-    print("\nchange / parent of the medians, against the end-to-end bounds")
+    print("\nchange / parent of the medians, against the end-to-end bounds, and the pairs the change won")
     for spec in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]:
-        parent, change = (statistics.median(r["metrics"][spec["name"]]["value"] for r in runs[side]) for side in sides)
+        name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+        parent, change = (statistics.median(r["metrics"][name]["value"] for r in runs[side]) for side in sides)
         ratio = change / parent
         worse = 1 - ratio if spec["better"] == "higher" else ratio - 1
         flag = ", beyond bound" if worse > spec["bound"] else ""
-        print(f"{spec['name']}: ratio {ratio:.4f}, worse by {worse:+.1%} (bound {spec['bound']:.0%}){flag}")
+        wins = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
+                   for p, c in zip(runs["parent"], runs["change"]))
+        print(f"{name}: ratio {ratio:.4f}, worse by {worse:+.1%} (bound {spec['bound']:.0%}){flag}; "
+              f"change wins {wins} of {args.pairs} pairs")
     print("\npeak_rss_mib against rounds")
     print(rss_at_parent_rounds(runs["parent"], runs["change"]))
     return 0
