@@ -35,10 +35,13 @@ def _as_graph(obj) -> DirectedGraph:
 
 
 def _rows(obj) -> Sequence[Sequence[tuple[int, int]]]:
-    """Index rows of a shift, graph or matrix: `sparse_adjacency` of its
-    graph, or for a matrix the rows of its own entries, so the work is
-    bounded by the matrix size, not by its entries."""
-    if isinstance(obj, (ForbiddenSetSFT, DirectedGraph, LabeledGraph)):
+    """Index rows of a shift, graph or matrix: for a shift its edge-shift
+    automaton's `rows`, for a graph its `sparse_adjacency`, and for a
+    matrix the rows of its own entries, so the work is bounded by the
+    matrix size, not by its entries."""
+    if isinstance(obj, ForbiddenSetSFT):
+        return _edge_shift(obj).rows
+    if isinstance(obj, (DirectedGraph, LabeledGraph)):
         return _as_graph(obj).sparse_adjacency()
     return _adjacency_rows(obj)
 
@@ -189,8 +192,8 @@ def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int)
     if length <= m:
         pair_words = [w for w in _short_words(data, length) if all(s in pair for s in w)]
         return len(pair_words) == 2**length
-    index, delta = data.automaton
-    rows = [[(t, 1) for s, t in row.items() if s in pair and pair.issuperset(v)] for v, row in zip(index, delta)]
+    rows = [[(t, 1) for s, t in row.items() if s in pair and pair.issuperset(v)]
+            for v, row in zip(data.vertices, data.delta)]
     return sum(next(islice(_walks(rows), length - m, None))) == 2**length
 
 

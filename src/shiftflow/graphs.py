@@ -115,8 +115,7 @@ class DirectedGraph:
         ]
 
     def is_strongly_connected(self) -> bool:
-        comps = _components(self.sparse_adjacency())
-        return len(comps) == 1 and len(comps[0]) == len(self.vertices)
+        return _strongly_connected(self.sparse_adjacency())
 
 
 def essentialize(graph: DirectedGraph) -> DirectedGraph:
@@ -197,6 +196,13 @@ def _components(rows: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
                         components.append(sorted(comp))
     components.sort()
     return components
+
+
+def _strongly_connected(rows: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """Whether the graph with these index rows is one strongly connected
+    component holding every index; the empty graph is not."""
+    comps = _components(rows)
+    return len(comps) == 1 and len(comps[0]) == len(rows)
 
 
 def _essential(n: int, src: Sequence[int], dst: Sequence[int]) -> list[int]:

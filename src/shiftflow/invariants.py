@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInput, PreconditionError
-from .graphs import _components
+from .graphs import _strongly_connected
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -263,8 +263,7 @@ def is_irreducible_matrix(a: Sequence[Sequence[int]]) -> bool:
 
 def _irreducible(mat: Matrix) -> bool:
     # The index rows of a checked matrix, without a second validation.
-    comps = _components([[(j, x) for j, x in enumerate(row) if x] for row in mat])
-    return len(comps) == 1 and len(comps[0]) == len(mat)
+    return _strongly_connected([[(j, x) for j, x in enumerate(row) if x] for row in mat])
 
 
 def is_single_orbit(a: Sequence[Sequence[int]]) -> bool:

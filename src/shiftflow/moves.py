@@ -138,26 +138,37 @@ def _image(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -> Forbid
     """Image of x under a move, as a k-step SFT over the symbols of
     `alphabet` that occur; k must be at least the step of the image.
 
-    The move's rule runs along the edge shift of x (Lind & Marcus, 1.5
-    and 2.3) from every (vertex, state) reached after its burn-in.  A walk
-    deduplicated on (vertex, state, last k symbols written) collects each
-    length-(k + 1) window of what it writes.
+    The move's rule runs along the rows of x's edge-shift automaton (Lind
+    & Marcus, 1.5 and 2.3) from every (vertex, state) reached after its
+    burn-in.  A walk deduplicated on (vertex, state, last k symbols
+    written) collects each length-(k + 1) window of what it writes.  A
+    step that writes nothing keeps its tail as it is, and a step that
+    completes one window adds it whole.
     """
     step, start, burn = _transducer(move)
-    _, delta = _edge_shift(x).automaton
-    runs = {(v, start) for v in range(len(delta))}
+    rows = [tuple(d.items()) for d in _edge_shift(x).delta]
+    runs = {(v, start) for v in range(len(rows))}
     for _ in range(burn):
-        runs = {(dst, step(q, s)[0]) for v, q in runs for s, dst in delta[v].items()}
+        runs = {(dst, step(q, s)[0]) for v, q in runs for s, dst in rows[v]}
     found: set[tuple[str, ...]] = set()
     stack = [(v, q, ()) for v, q in runs]
     seen = set(stack)
     while stack:
         vtx, q, tail = stack.pop()
-        for s, dst in delta[vtx].items():
+        for s, dst in rows[vtx]:
             q2, chunk = step(q, s)
-            written = tail + chunk
-            found.update(written[i : i + k + 1] for i in range(len(written) - k))
-            state = (dst, q2, written[max(len(written) - k, 0) :])
+            if chunk:
+                written = tail + chunk
+                extra = len(written) - k
+                if extra == 1:
+                    found.add(written)
+                    written = written[1:]
+                elif extra > 1:
+                    found.update([written[i : i + k + 1] for i in range(extra)])
+                    written = written[extra:]
+                state = (dst, q2, written)
+            else:
+                state = (dst, q2, tail)
             if state not in seen:
                 seen.add(state)
                 stack.append(state)

@@ -4,7 +4,7 @@ Labels live in a tuple indexed by edge id, so pruning a graph never
 detaches an edge from its label.  Right-resolving means out-edges at
 each vertex carry distinct labels.
 
-Automata take the form of `EdgeShiftData.automaton`, `{label: next index}`
+Automata take the form of `EdgeShiftData.delta`, `{label: next index}`
 rows; only what a public function returns is built as a `LabeledGraph`.
 """
 
@@ -59,7 +59,7 @@ def sft_presentation(x: ForbiddenSetSFT) -> LabeledGraph:
     """Right-resolving presentation of an SFT: the edge-shift graph with
     each edge labeled by the last symbol of its word."""
     data = _edge_shift(x)
-    return LabeledGraph(data.graph, tuple([w[-1] for w in data.edge_words]))
+    return LabeledGraph(data.graph, tuple([w[-1] for w in data.words]))
 
 
 def is_right_resolving(lg: LabeledGraph) -> bool:

@@ -1,22 +1,24 @@
 """Shifts of finite type given by a finite set of forbidden words.
 
 The central object is `ForbiddenSetSFT`.  Everything derived from it
-(language, edge-shift graph, membership) goes through one cached graph
-construction so repeated queries stay cheap.  Inside, words are plain
-symbol tuples, which hash and compare equal to Words; each word handed
-out is wrapped once with `_word`.  Membership and word counts are one
-pass each over the essential edge shift, read as an automaton or by paths.
+(language, membership, word counts, the edge-shift graph) reads one
+cached index automaton, the essential edge shift as `{symbol: next
+index}` rows (`EdgeShiftData`), so repeated queries stay cheap.  Inside,
+words are plain symbol tuples, which hash and compare equal to Words;
+each word handed out is wrapped once with `_word`.  Membership and word
+counts are one pass each over the automaton, read along its rows or by
+paths; a `DirectedGraph` is built only where a graph is the output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
-from .graphs import DirectedGraph, Edge, _essential, _walks, path_count
+from .graphs import DirectedGraph, Edge, _essential, _strongly_connected, _walks
 from .words import EMPTY_WORD, Alphabet, Word, _check_symbols, _windows, _word
 
 
@@ -59,13 +61,6 @@ def full_shift(symbols: Iterable[str]) -> ForbiddenSetSFT:
     return ForbiddenSetSFT(Alphabet(tuple(symbols)), frozenset())
 
 
-def _forbidden_by_length(forbidden: frozenset[Word]) -> dict[int, set[Word]]:
-    table: dict[int, set[Word]] = {}
-    for w in forbidden:
-        table.setdefault(len(w), set()).add(w)
-    return table
-
-
 # Most candidate words `_admissible_words` builds for one length (2**20
 # words of length 13 take about 150 MiB), and most words listed at once.
 MAX_CANDIDATES = 2**20
@@ -76,71 +71,116 @@ def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) ->
 
     Grown one length at a time: a word is kept when no forbidden word is
     a suffix of it, so dead prefixes are dropped as soon as they appear.
-    Extending each word by the alphabet in order keeps the order.  Past
-    `MAX_CANDIDATES` candidates for a length it raises `PreconditionError`.
+    A suffix table maps each forbidden word's prefix to the last symbols
+    it bans; each word is extended by the alphabet, in order, minus the
+    symbols banned by the prefixes its suffixes hit, which keeps the
+    order.  Past `MAX_CANDIDATES` candidates for a length it raises
+    `PreconditionError`.
     """
-    by_len = _forbidden_by_length(forbidden)
+    bans: dict[tuple[str, ...], set[str]] = {}
+    for f in forbidden:
+        t = tuple(f)
+        bans.setdefault(t[:-1], set()).add(t[-1])
+    lengths = sorted({len(p) for p in bans})
+    symbols = alphabet.symbols
     words: list[tuple[str, ...]] = [()]
     for k in range(1, n + 1):
-        count = len(words) * len(alphabet)
+        count = len(words) * len(symbols)
         if count > MAX_CANDIDATES:
             raise PreconditionError(f"words of length {k} have {count} candidates, above the limit {MAX_CANDIDATES}")
-        longer = (u + (s,) for u in words for s in alphabet.symbols)
-        suffixes = [(k - ln, bad) for ln, bad in by_len.items() if ln <= k]
-        words = [w for w in longer if not any(w[i:] in bad for i, bad in suffixes)] if suffixes else list(longer)
+        cuts = [k - 1 - ln for ln in lengths if ln < k]
+        longer: list[tuple[str, ...]] = []
+        for u in words:
+            gone = None
+            for i in cuts:
+                b = bans.get(u[i:])
+                if b is not None:
+                    gone = b if gone is None else gone | b
+            if gone is None:
+                longer += [u + (s,) for s in symbols]
+            else:
+                longer += [u + (s,) for s in symbols if s not in gone]
+        words = longer
     return words
 
 
 @dataclass(frozen=True)
 class EdgeShiftData:
-    """Edge-shift presentation of an SFT at its own step m.
+    """The essential edge shift of an SFT at its own step m, as an index
+    automaton.
 
-    Vertices are the admissible length-m words, edges the admissible
-    length-(m+1) words; `edge_words[eid]` recovers an edge's word.  Only
-    bi-extendable vertices and edges survive (the graph is essential).
+    `words` are the admissible (m+1)-words in order; a word's position is
+    its edge id.  `vertices` are the bi-extendable m-words, sorted.
+    `src[eid]` and `dst[eid]` are the indices of the edge's ends, both -1
+    when the trim dropped it, and `delta[i]` maps the last symbol of each
+    edge out of vertex i to the index it leads to.  `graph` and
+    `edge_words` build the same shift as a `DirectedGraph` with Word
+    vertices, and its Words, on first use; `rows` are that graph's
+    `sparse_adjacency`, read off `delta`.
     """
 
-    graph: DirectedGraph
-    edge_words: tuple[Word, ...]
-    live_words: frozenset[Word]
+    words: tuple[tuple[str, ...], ...]
+    vertices: tuple[tuple[str, ...], ...]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    # Determined by the fields above, so left out of == and hash.
+    delta: list[dict[str, int]] = field(compare=False)
 
     @cached_property
-    def automaton(self) -> tuple[dict[Word, int], list[dict[str, int]]]:
-        """Each vertex's index, and per index the next index for each last
-        symbol of an out-edge (one edge per symbol): built on first use and
-        kept, for `contains_word`, `moves._image` and the boost precondition."""
-        index = {v: i for i, v in enumerate(self.graph.vertices)}
-        delta: list[dict[str, int]] = [{} for _ in index]
-        for e in self.graph.edges:
-            delta[index[e.src]][self.edge_words[e.eid][-1]] = index[e.dst]
-        return index, delta
+    def index(self) -> dict[tuple[str, ...], int]:
+        """Each vertex's index, for `contains_word`."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex index the (j, edges to j) pairs in increasing j:
+        `graph.sparse_adjacency()` without building the graph."""
+        out = []
+        for d in self.delta:
+            row: dict[int, int] = {}
+            for j in sorted(d.values()):
+                row[j] = row.get(j, 0) + 1
+            out.append(tuple(row.items()))
+        return tuple(out)
 
-def _essential_graph(words: list[tuple[str, ...]], m: int) -> DirectedGraph:
-    """The essential part of the graph with an edge w[:m] -> w[1:] for
-    each (m+1)-word w, id its position: trimmed on index rows, so the one
-    graph built holds only the survivors, in the vertices' sorted order
-    and with the ids the untrimmed graph would give them."""
-    names = sorted({w[:m] for w in words} | {w[1:] for w in words})
-    at = {v: i for i, v in enumerate(names)}
-    src = [at[w[:m]] for w in words]
-    dst = [at[w[1:]] for w in words]
-    del at  # not held while the edges are built
-    vertex: list[Word | None] = [None] * len(names)
-    for i in _essential(len(names), src, dst):
-        vertex[i] = _word(names[i])
-    edges = [Edge(vertex[s], vertex[d], i) for i, (s, d) in enumerate(zip(src, dst))
-             if vertex[s] is not None and vertex[d] is not None]
-    return DirectedGraph(tuple([v for v in vertex if v is not None]), tuple(edges))
+    @cached_property
+    def graph(self) -> DirectedGraph:
+        """The automaton as a graph: vertex words in order, an edge for each
+        live word, its id the word's position."""
+        vertex = [_word(v) for v in self.vertices]
+        edges = [Edge(vertex[s], vertex[d], i) for i, (s, d) in enumerate(zip(self.src, self.dst)) if s >= 0]
+        return DirectedGraph(tuple(vertex), tuple(edges))
+
+    @cached_property
+    def edge_words(self) -> tuple[Word, ...]:
+        """`words` as Words: `edge_words[eid]` recovers an edge's word."""
+        return tuple([_word(w) for w in self.words])  # from a list: see `invariants.as_matrix`
 
 
 @lru_cache(maxsize=512)
 def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
-    words = _admissible_words(x.alphabet, x.forbidden, x.step + 1)
-    graph = _essential_graph(words, x.step)
-    edge_words = tuple([_word(w) for w in words])  # from a list: see `invariants.as_matrix`
-    live = frozenset(edge_words[e.eid] for e in graph.edges)
-    return EdgeShiftData(graph, edge_words, live)
+    """The edge shift of x: an edge w[:m] -> w[1:] for each admissible
+    (m+1)-word w, trimmed on index rows to its essential part."""
+    m = x.step
+    words = _admissible_words(x.alphabet, x.forbidden, m + 1)
+    names = sorted({w[:m] for w in words} | {w[1:] for w in words})
+    at = {v: i for i, v in enumerate(names)}
+    src = [at[w[:m]] for w in words]
+    dst = [at[w[1:]] for w in words]
+    del at  # not held while the rows are built
+    keep = _essential(len(names), src, dst)
+    if len(keep) < len(names):
+        new = [-1] * len(names)
+        for k, i in enumerate(keep):
+            new[i] = k
+        names = [names[i] for i in keep]
+        src = [new[s] if new[d] >= 0 else -1 for s, d in zip(src, dst)]  # -1 unless both ends stay
+        dst = [new[d] if s >= 0 else -1 for s, d in zip(src, dst)]
+    delta: list[dict[str, int]] = [{} for _ in names]
+    for w, s, d in zip(words, src, dst):
+        if s >= 0:
+            delta[s][w[-1]] = d
+    return EdgeShiftData(tuple(words), tuple(names), tuple(src), tuple(dst), delta)
 
 
 def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
@@ -153,7 +193,7 @@ def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
     The output lists every inadmissible (m+1)-word, about |A|^(m+1) of
     them, and building it walks all |A|^(m+1) words.  For the edge shift
     alone, `sft_presentation(x).graph` is the same graph without that
-    cost.
+    cost, built from the cached automaton of x.
     """
     if not x.forbidden:
         return x
@@ -186,18 +226,17 @@ def _short_words(data: EdgeShiftData, n: int) -> set[tuple[str, ...]]:
     tuples: the length-n prefixes of the vertex words.  A length-n word at
     position i of a point is the prefix of the length-m window there, a
     vertex; every vertex of the essential edge shift lies on a point."""
-    cut = slice(n)
-    return {tuple.__getitem__(v, cut) for v in data.graph.vertices}
+    return {v[:n] for v in data.vertices}
 
 
 def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
     """Sorted list of the length-n words occurring in points of the shift.
 
     Length 0 always yields the empty word, even for the empty shift.
-    Words longer than the step grow from the vertex words along out-edges,
-    unless there are more than `MAX_CANDIDATES`: checked against |V| d^(n-m),
-    d the largest out-degree, and past that by path counts, which never fall
-    on an essential graph.
+    Words longer than the step grow from the vertex words along the
+    automaton's rows, unless there are more than `MAX_CANDIDATES`: checked
+    against |V| d^(n-m), d the largest out-degree, and past that by path
+    counts, which never fall on an essential graph.
     """
     if n < 0:
         raise InvalidInput("word length must be nonnegative")
@@ -207,19 +246,17 @@ def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
     m = x.step
     if n <= m:
         return sorted(map(_word, _short_words(data, n)))
-    graph = data.graph
-    d = max((len(graph.out_edges(v)) for v in graph.vertices), default=0)
+    delta = data.delta
+    d = max(map(len, delta), default=0)
     # d >= 2 gives d^21 > 2^20, so the capped exponent keeps the comparison.
-    if len(graph.vertices) * d ** min(n - m, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
-        for count in map(sum, islice(_walks(graph.sparse_adjacency()), n - m + 1)):
+    if len(delta) * d ** min(n - m, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
+        for count in map(sum, islice(_walks(data.rows), n - m + 1)):
             if count > MAX_CANDIDATES:
                 raise PreconditionError(
                     f"words of length {n} number at least {count}, above the limit {MAX_CANDIDATES}")
-    paths = [(v, v) for v in data.graph.vertices]
+    paths = [(_word(v), i) for i, v in enumerate(data.vertices)]
     for _ in range(n - m):
-        paths = [
-            (w + _word((data.edge_words[e.eid][-1],)), e.dst) for w, v in paths for e in data.graph.out_edges(v)
-        ]
+        paths = [(w + _word((s,)), j) for w, i in paths for s, j in delta[i].items()]
     return sorted(w for w, _ in paths)
 
 
@@ -233,7 +270,7 @@ def language_count(x: ForbiddenSetSFT, n: int) -> int:
     m = x.step
     if n <= m:
         return len(_short_words(data, n))
-    return path_count(data.graph, n - m)
+    return sum(next(islice(_walks(data.rows), n - m, None)))
 
 
 def _unambiguous_word(word: Word | str, symbols: Iterable[str]) -> Word:
@@ -262,8 +299,8 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
     m = x.step
     if len(w) <= m:
         return w in _short_words(data, len(w))
-    index, delta = data.automaton
-    i = index.get(tuple.__getitem__(w, slice(m)))
+    delta = data.delta
+    i = data.index.get(tuple.__getitem__(w, slice(m)))
     for s in islice(w, m, None):
         if i is None:
             return False
@@ -273,11 +310,11 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
 
 def is_irreducible(x: ForbiddenSetSFT) -> bool:
     """Whether any two language words can be joined inside the language."""
-    return _edge_shift(x).graph.is_strongly_connected()
+    return _strongly_connected(_edge_shift(x).rows)
 
 
 def is_empty(x: ForbiddenSetSFT) -> bool:
-    return not _edge_shift(x).graph.vertices
+    return not _edge_shift(x).vertices
 
 
 def apply_block_map(code: Mapping[Word, str], word: Word, window: int | None = None) -> Word:
@@ -313,7 +350,8 @@ def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     whose step is the least step of the shift.
     """
     k = x.step
-    bsets = _slices_below(set(map(tuple, _edge_shift(x).live_words)), k + 1)
+    data = _edge_shift(x)
+    bsets = _slices_below({w for w, s in zip(data.words, data.src) if s >= 0}, k + 1)
     return minimize_from_language(x.alphabet, bsets, k)
 
 

@@ -36,6 +36,7 @@ Deliberately slow.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -71,13 +72,13 @@ from shiftflow.sft import (
     ForbiddenSetSFT,
     _admissible_words,
     _edge_shift,
-    _forbidden_by_length,
     _short_words,
     _slices_below,
     _unambiguous_word,
     contains_word,
     language_count,
     minimize_from_language,
+    sft_to_edge_shift,
 )
 from shiftflow.words import EMPTY_WORD, Alphabet, PeriodicOrbit, Word, _windows, _word
 from shiftflow.sgap import (
@@ -492,7 +493,7 @@ def contains_word_by_factors(x: ForbiddenSetSFT, word: Word | str) -> bool:
     m = x.step
     if len(w) <= m:
         return w in _short_words(data, len(w))
-    return all(f in data.live_words for f in w.factors(m + 1))
+    return all(f in live_words(x) for f in w.factors(m + 1))
 
 
 def apply_block_map_by_factors(code: Mapping[Word, str], word: Word, window: int | None = None) -> Word:
@@ -571,6 +572,19 @@ def image_by_windows(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet)
     return minimize_from_language(alpha, _slices_below(found, jmax), k)
 
 
+@functools.lru_cache(maxsize=512)
+def live_words(x: ForbiddenSetSFT) -> frozenset[Word]:
+    """The (m+1)-words on the edges of the essential edge shift of x."""
+    return frozenset(sft_to_edge_shift(x)[1].values())
+
+
+def _forbidden_by_length(forbidden: frozenset[Word]) -> dict[int, set[Word]]:
+    table: dict[int, set[Word]] = {}
+    for w in forbidden:
+        table.setdefault(len(w), set()).add(w)
+    return table
+
+
 def admissible_words_by_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> list[Word]:
     """All length-n words with no forbidden factor, lexicographic order,
     grown as Words one length at a time."""
@@ -583,15 +597,24 @@ def admissible_words_by_words(alphabet: Alphabet, forbidden: frozenset[Word], n:
 
 
 def edge_shift_by_words(x: ForbiddenSetSFT) -> EdgeShiftData:
-    """The edge-shift presentation of x at its step, on Word slices."""
+    """The edge-shift presentation of x at its step, on Word slices: the
+    essential graph trimmed by rescanning, its automaton read off the
+    graph's edges, and its `graph` and `edge_words` views set to that
+    graph and those Words."""
     m = x.step
     words = admissible_words_by_words(x.alphabet, x.forbidden, m + 1)
     vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
     edges = tuple([Edge(w[:m], w[1:], i) for i, w in enumerate(words)])
     graph = essential_part_by_rescanning(DirectedGraph(tuple(vertices), edges))
-    edge_words = tuple(words)
-    live = frozenset(edge_words[e.eid] for e in graph.edges)
-    return EdgeShiftData(graph, edge_words, live)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    src, dst = [-1] * len(words), [-1] * len(words)
+    delta: list[dict[str, int]] = [{} for _ in index]
+    for e in graph.edges:
+        src[e.eid], dst[e.eid] = index[e.src], index[e.dst]
+        delta[index[e.src]][words[e.eid][-1]] = index[e.dst]
+    data = EdgeShiftData(tuple(map(tuple, words)), tuple(map(tuple, graph.vertices)), tuple(src), tuple(dst), delta)
+    vars(data).update(graph=graph, edge_words=tuple(words))
+    return data
 
 
 def short_words_by_words(data: EdgeShiftData, n: int) -> set[Word]:
@@ -1285,7 +1308,7 @@ def contains_word_by_windows(x: ForbiddenSetSFT, word: Word | str) -> bool:
     m = x.step
     if len(w) <= m:
         return w in short_words_by_windows(data, len(w))
-    return all(f in data.live_words for f in _windows(w, m + 1))
+    return all(f in live_words(x) for f in _windows(w, m + 1))
 
 
 def walks_by_generators(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:

@@ -44,6 +44,13 @@ CLIFFS = {
         "x = sft('abc', ['c' * 12])\n",
         "language_count(x, 21)",
     ),
+    # The target-1 boost past an 8-symbol forbidden word: the precondition
+    # reads the step-7 automaton (3^8 - 1 words), then two word contractions.
+    "boost_c8_target1": (
+        "from shiftflow import boost_entropy_pipeline, sft\n"
+        "x = sft('abc', ['c' * 8])\n",
+        "boost_entropy_pipeline(x, 'a', 'b', 1)",
+    ),
     # A 20,000-vertex dead chain feeding a 2-cycle: one round per chain
     # vertex for a trim that recounts every edge in each round.
     "dead_chain_trim": (
