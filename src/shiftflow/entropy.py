@@ -9,9 +9,9 @@ from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInput, NonConvergenceError
-from .graphs import DirectedGraph, _adjacency_rows, _components, _walks, from_adjacency
+from .graphs import DirectedGraph, _adjacency_rows, _components, _index_rows, _walks, from_adjacency
 from .moves import MovePipeline
-from .presentations import LabeledGraph, _index_rows, _sofic_word_counts, _subset_automaton
+from .presentations import LabeledGraph, _sofic_word_counts, _subset_automaton
 from .sft import ForbiddenSetSFT, _edge_shift, _short_words, language_count
 from .words import Word
 

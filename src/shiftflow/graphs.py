@@ -2,6 +2,8 @@
 
 Edges carry a stable integer id assigned at construction.  Ids survive
 essentialization, which matters for labeled graphs layered on top.
+Automata, of the edge shift and of presentations, are lists of
+`{label: next index}` rows, read by `_index_rows`, `_trim` and `_restrict`.
 """
 
 from __future__ import annotations
@@ -241,6 +243,31 @@ def _essential(n: int, src: Sequence[int], dst: Sequence[int]) -> list[int]:
                 alive[j] = False
                 dead.append(j)
     return [i for i, a in enumerate(alive) if a]
+
+
+def _index_rows(delta: list[dict[str, int]]) -> list[list[tuple[int, int]]]:
+    """Index rows of an automaton: per state the (next, number of labels
+    leading there) pairs in increasing next, the `sparse_adjacency` of the
+    automaton built as a graph."""
+    rows = []
+    for row in delta:
+        counts: dict[int, int] = {}
+        for t in row.values():
+            counts[t] = counts.get(t, 0) + 1
+        rows.append(sorted(counts.items()))
+    return rows
+
+
+def _trim(delta: list[dict[str, int]]) -> list[int]:
+    """The states of the automaton's essential part, in increasing order."""
+    src = [i for i, row in enumerate(delta) for _ in row]
+    return _essential(len(delta), src, [t for row in delta for t in row.values()])
+
+
+def _restrict(delta: list[dict[str, int]], keep: list[int]) -> list[dict[str, int]]:
+    """The automaton on the states `keep`, renumbered in order, without moves that leave them."""
+    at = {i: k for k, i in enumerate(keep)}
+    return [{a: at[t] for a, t in delta[i].items() if t in at} for i in keep]
 
 
 def _walks(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:

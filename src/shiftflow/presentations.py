@@ -4,8 +4,9 @@ Labels live in a tuple indexed by edge id, so pruning a graph never
 detaches an edge from its label.  Right-resolving means out-edges at
 each vertex carry distinct labels.
 
-Automata take the form of `EdgeShiftData.delta`, `{label: next index}`
-rows; only what a public function returns is built as a `LabeledGraph`.
+Automata are `{label: next index}` rows, one dict per state, read with
+the helpers in `graphs`; only what a public function returns is built as
+a `LabeledGraph`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import InvalidInput, PreconditionError
-from .graphs import DirectedGraph, Edge, Vertex, _components, _essential, _walks
+from .graphs import DirectedGraph, Edge, Vertex, _components, _index_rows, _restrict, _trim, _walks
 from .sft import ForbiddenSetSFT, _edge_shift, _unambiguous_word
 from .words import EMPTY_WORD, Word
 
@@ -108,31 +109,6 @@ def _subset_automaton(
     return [tuple([vertices[i] for i in sorted(s)]) for s in states], delta
 
 
-def _index_rows(delta: list[dict[str, int]]) -> list[list[tuple[int, int]]]:
-    """Index rows of an automaton: per state the (next, number of labels
-    leading there) pairs in increasing next, the `sparse_adjacency` of the
-    automaton built as a graph."""
-    rows = []
-    for row in delta:
-        counts: dict[int, int] = {}
-        for t in row.values():
-            counts[t] = counts.get(t, 0) + 1
-        rows.append(sorted(counts.items()))
-    return rows
-
-
-def _trim(delta: list[dict[str, int]]) -> list[int]:
-    """The states of the automaton's essential part, in increasing order."""
-    src = [i for i, row in enumerate(delta) for _ in row]
-    return _essential(len(delta), src, [t for row in delta for t in row.values()])
-
-
-def _restrict(delta: list[dict[str, int]], keep: list[int]) -> list[dict[str, int]]:
-    """The automaton on the states `keep`, renumbered in order, without moves that leave them."""
-    at = {i: k for k, i in enumerate(keep)}
-    return [{a: at[t] for a, t in delta[i].items() if t in at} for i in keep]
-
-
 def determinize(lg: LabeledGraph) -> LabeledGraph:
     """Right-resolving presentation of the same sofic shift, essential part.
 
@@ -217,19 +193,20 @@ def _same_shift(p: LabeledGraph, q: LabeledGraph, first: list[dict[str, int]] | 
 def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     """Minimal right-resolving presentation of an irreducible sofic shift.
 
-    Determinize from the full vertex set, keep the essential states,
-    merge states with equal follower sets, then keep the unique sink
-    component, the one no edge leaves, all on index rows.  Its language
-    is contained in the input's; `_same_shift` certifies equality by its
-    pair walk.  When the input is its own essential part, the
-    determinization is the certificate's automaton of the input.  Inputs
-    presenting a reducible shift are rejected.
+    Determinize the input's essential part from its full vertex set, keep
+    the essential states, merge states with equal follower sets, then keep
+    the unique sink component, the one no edge leaves, all on index rows.
+    Vertices and edges on no bi-infinite path never reach the automaton,
+    so they do not change the result.  Its language is contained in the
+    input's; `_same_shift` certifies equality by its pair walk, reading
+    the determinization as the input's automaton.  Inputs presenting a
+    reducible shift are rejected.
     """
-    _, det = _subset_automaton(lg)
-    keep = _trim(det)
-    if not keep:
+    ess = lg.essential_part()
+    if lg.graph.vertices and not ess.graph.vertices:
         raise PreconditionError("presentation has no bi-infinite points")
-    delta = _restrict(det, keep)
+    _, det = _subset_automaton(ess)
+    delta = _restrict(det, _trim(det))
     classes = _moore_classes(delta)
     first = dict(zip(reversed(classes), reversed(range(len(classes)))))  # each class's least state
     merged = [{a: classes[t] for a, t in delta[first[c]].items()} for c in range(len(first))]
@@ -239,8 +216,7 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
         sink = _restrict(merged, sinks[0])
         arcs = [(str(i), str(t), a) for i, row in enumerate(sink) for a, t in row.items()]
         result = labeled_graph([str(i) for i in range(len(sink))], arcs)
-        ess = lg.essential_part()
-        if _same_shift(ess, result, det if ess is lg else None):
+        if _same_shift(ess, result, det):
             return result
     raise PreconditionError(
         "presentation is not an irreducible sofic shift; "

@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
-from .graphs import DirectedGraph, Edge, _essential, _strongly_connected, _walks
+from .graphs import DirectedGraph, Edge, _essential, _index_rows, _restrict, _strongly_connected, _walks
 from .words import EMPTY_WORD, Alphabet, Word, _check_symbols, _windows, _word
 
 
@@ -110,45 +110,42 @@ class EdgeShiftData:
     automaton.
 
     `words` are the admissible (m+1)-words in order; a word's position is
-    its edge id.  `vertices` are the bi-extendable m-words, sorted.
-    `src[eid]` and `dst[eid]` are the indices of the edge's ends, both -1
-    when the trim dropped it, and `delta[i]` maps the last symbol of each
-    edge out of vertex i to the index it leads to.  `graph` and
+    its edge id.  `vertices` are the bi-extendable m-words, sorted, and
+    `delta[i]` maps the last symbol of each edge out of vertex i to the
+    index it leads to; a word whose ends did not both survive the trim
+    has no move.  `rows` are `delta`'s index rows.  `graph` and
     `edge_words` build the same shift as a `DirectedGraph` with Word
-    vertices, and its Words, on first use; `rows` are that graph's
-    `sparse_adjacency`, read off `delta`.
+    vertices, and its Words, on first use; only they and the labels of
+    `sft_presentation` read `words`.
     """
 
     words: tuple[tuple[str, ...], ...]
     vertices: tuple[tuple[str, ...], ...]
-    src: tuple[int, ...]
-    dst: tuple[int, ...]
     # Determined by the fields above, so left out of == and hash.
     delta: list[dict[str, int]] = field(compare=False)
 
     @cached_property
     def index(self) -> dict[tuple[str, ...], int]:
-        """Each vertex's index, for `contains_word`."""
+        """Each vertex's index, for `contains_word` and `graph`."""
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def rows(self) -> list[list[tuple[int, int]]]:
         """Per vertex index the (j, edges to j) pairs in increasing j:
         `graph.sparse_adjacency()` without building the graph."""
-        out = []
-        for d in self.delta:
-            row: dict[int, int] = {}
-            for j in sorted(d.values()):
-                row[j] = row.get(j, 0) + 1
-            out.append(tuple(row.items()))
-        return tuple(out)
+        return _index_rows(self.delta)
 
     @cached_property
     def graph(self) -> DirectedGraph:
         """The automaton as a graph: vertex words in order, an edge for each
         live word, its id the word's position."""
         vertex = [_word(v) for v in self.vertices]
-        edges = [Edge(vertex[s], vertex[d], i) for i, (s, d) in enumerate(zip(self.src, self.dst)) if s >= 0]
+        index, delta = self.index, self.delta
+        edges = []
+        for eid, w in enumerate(self.words):
+            i = index.get(w[:-1])
+            if i is not None and (j := delta[i].get(w[-1])) is not None:
+                edges.append(Edge(vertex[i], vertex[j], eid))
         return DirectedGraph(tuple(vertex), tuple(edges))
 
     @cached_property
@@ -160,27 +157,25 @@ class EdgeShiftData:
 @lru_cache(maxsize=512)
 def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
     """The edge shift of x: an edge w[:m] -> w[1:] for each admissible
-    (m+1)-word w, trimmed on index rows to its essential part."""
+    (m+1)-word w, as `{last symbol: next index}` rows, trimmed to its
+    essential part by `graphs._essential` and `graphs._restrict`."""
     m = x.step
     words = _admissible_words(x.alphabet, x.forbidden, m + 1)
     names = sorted({w[:m] for w in words} | {w[1:] for w in words})
     at = {v: i for i, v in enumerate(names)}
-    src = [at[w[:m]] for w in words]
-    dst = [at[w[1:]] for w in words]
-    del at  # not held while the rows are built
+    src: list[int] = []
+    dst: list[int] = []
+    delta: list[dict[str, int]] = [{} for _ in names]
+    for w in words:
+        s, d = at[w[:m]], at[w[1:]]
+        src.append(s)
+        dst.append(d)
+        delta[s][w[-1]] = d
+    del at  # not held while the trim runs
     keep = _essential(len(names), src, dst)
     if len(keep) < len(names):
-        new = [-1] * len(names)
-        for k, i in enumerate(keep):
-            new[i] = k
-        names = [names[i] for i in keep]
-        src = [new[s] if new[d] >= 0 else -1 for s, d in zip(src, dst)]  # -1 unless both ends stay
-        dst = [new[d] if s >= 0 else -1 for s, d in zip(src, dst)]
-    delta: list[dict[str, int]] = [{} for _ in names]
-    for w, s, d in zip(words, src, dst):
-        if s >= 0:
-            delta[s][w[-1]] = d
-    return EdgeShiftData(tuple(words), tuple(names), tuple(src), tuple(dst), delta)
+        names, delta = [names[i] for i in keep], _restrict(delta, keep)
+    return EdgeShiftData(tuple(words), tuple(names), delta)
 
 
 def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
@@ -351,7 +346,7 @@ def simplify(x: ForbiddenSetSFT) -> ForbiddenSetSFT:
     """
     k = x.step
     data = _edge_shift(x)
-    bsets = _slices_below({w for w, s in zip(data.words, data.src) if s >= 0}, k + 1)
+    bsets = _slices_below({v + (s,) for v, row in zip(data.vertices, data.delta) for s in row}, k + 1)
     return minimize_from_language(x.alphabet, bsets, k)
 
 

@@ -607,12 +607,10 @@ def edge_shift_by_words(x: ForbiddenSetSFT) -> EdgeShiftData:
     edges = tuple([Edge(w[:m], w[1:], i) for i, w in enumerate(words)])
     graph = essential_part_by_rescanning(DirectedGraph(tuple(vertices), edges))
     index = {v: i for i, v in enumerate(graph.vertices)}
-    src, dst = [-1] * len(words), [-1] * len(words)
     delta: list[dict[str, int]] = [{} for _ in index]
     for e in graph.edges:
-        src[e.eid], dst[e.eid] = index[e.src], index[e.dst]
         delta[index[e.src]][words[e.eid][-1]] = index[e.dst]
-    data = EdgeShiftData(tuple(map(tuple, words)), tuple(map(tuple, graph.vertices)), tuple(src), tuple(dst), delta)
+    data = EdgeShiftData(tuple(map(tuple, words)), tuple(map(tuple, graph.vertices)), delta)
     vars(data).update(graph=graph, edge_words=tuple(words))
     return data
 

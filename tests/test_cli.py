@@ -159,6 +159,20 @@ def test_presentation_minimize(capsys):
     assert len(doc["edges"]) == 3
 
 
+def test_presentation_minimize_ignores_a_dead_end(capsys):
+    """A vertex on no bi-infinite path leaves the printed cover as it is."""
+    edges = [("w", "x", "0"), ("w", "y", "0"), ("x", "w", "1"), ("y", "z", "0"), ("z", "w", "1"), ("z", "z", "0")]
+
+    def doc(vertices, arcs):
+        return json.dumps({"vertices": vertices, "edges": [{"from": s, "to": d, "label": a} for s, d, a in arcs]})
+
+    code, want, _ = run(capsys, ["presentation", "minimize", doc(list("wxyz"), edges)])
+    assert code == 0
+    code, out, _ = run(capsys, ["presentation", "minimize", doc(list("wxyzd"), edges + [("w", "d", "1")])])
+    assert code == 0
+    assert out == want
+
+
 def test_entropy_perron(capsys):
     code, out, _ = run(capsys, ["entropy", GM])
     assert code == 0

@@ -135,8 +135,8 @@ def test_walks_match_the_generator_oracle_on_matrices():
 
 
 def test_edge_shift_data_equality_ignores_the_automaton():
-    """Equality and hash read the words, vertices and edge ends: not the
-    rows, which they determine, nor the views built on first use."""
+    """Equality and hash read the words and vertices: not the automaton
+    or its rows, which they determine, nor the views built on first use."""
     x = sft(["a", "b", "c"], ["cc", "aba"])
     _edge_shift.cache_clear()
     data, want = _edge_shift(x), edge_shift_by_words(x)

@@ -38,7 +38,7 @@ CLIFFS = {
         "lg = labeled_graph(names, arcs)\n",
         "minimal_right_resolving(lg)",
     ),
-    # The edge-shift build is timed too: 3^12 vertices, about 1.6M edges.
+    # The edge-shift build is timed too: 3^11 = 177,147 vertices, 531,440 edges.
     "language_count_c12": (
         "from shiftflow import language_count, sft\n"
         "x = sft('abc', ['c' * 12])\n",
