@@ -155,8 +155,9 @@ def sofic_entropy(lg: LabeledGraph, tol: float = 1e-12, max_iterations: int = 10
     components that have an edge lie in the automaton's essential part,
     so no trim is needed, and each one's rows are those of
     `determinize(lg).graph`: the floats are that graph's Perron entropy.
+    A presentation with no vertices has entropy 0, as in `perron_entropy`.
     """
-    _, delta = _subset_automaton(lg, include_singletons=True)
+    _, delta = _subset_automaton(lg._rows, include_singletons=True)
     return _perron(_index_rows(delta), tol, max_iterations)
 
 

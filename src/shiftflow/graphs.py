@@ -33,11 +33,11 @@ class DirectedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        index = self._index
+        if len(index) != len(self.vertices):
             raise InvalidInput("duplicate vertices")
         for e in self.edges:
-            if e.src not in vset or e.dst not in vset:
+            if e.src not in index or e.dst not in index:
                 raise InvalidInput(f"edge {e} touches a vertex not in the graph")
 
     @classmethod
@@ -46,6 +46,18 @@ class DirectedGraph:
         # Tuples on hot paths are built from lists, for the reason given
         # in `invariants.as_matrix`.
         return cls(tuple(vertices), tuple([Edge(s, d, i) for i, (s, d) in enumerate(arcs)]))
+
+    @cached_property
+    def _index(self) -> dict[Vertex, int]:
+        """Each vertex's position, built once per graph."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _ends(self) -> tuple[list[int], list[int]]:
+        """The source and the target index of every edge, in edge order,
+        built once per graph."""
+        index = self._index
+        return [index[e.src] for e in self.edges], [index[e.dst] for e in self.edges]
 
     @cached_property
     def _out(self) -> dict[Vertex, tuple[Edge, ...]]:
@@ -66,21 +78,20 @@ class DirectedGraph:
         Edge objects (and their ids) are kept, not renumbered, so labels
         indexed by id remain valid on the result.
         """
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        keep = _essential(len(idx), [idx[e.src] for e in self.edges], [idx[e.dst] for e in self.edges])
+        src, dst = self._ends
+        keep = _essential(len(self.vertices), src, dst)
         if len(keep) == len(self.vertices):
             return self
-        vertices = [self.vertices[i] for i in keep]
-        kept = set(vertices)
-        return DirectedGraph(tuple(vertices), tuple([e for e in self.edges if e.src in kept and e.dst in kept]))
+        kept = set(keep)
+        edges = [e for e, s, d in zip(self.edges, src, dst) if s in kept and d in kept]
+        return DirectedGraph(tuple([self.vertices[i] for i in keep]), tuple(edges))
 
     def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Integer matrix indexed by vertex order: entry (i, j) counts i -> j edges."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
         m = [[0] * n for _ in range(n)]
-        for e in self.edges:
-            m[idx[e.src]][idx[e.dst]] += 1
+        for s, d in zip(*self._ends):
+            m[s][d] += 1
         return tuple([tuple(row) for row in m])
 
     def sparse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -91,25 +102,23 @@ class DirectedGraph:
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """`sparse_adjacency`, built once per graph."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        rows = []
-        for v in self.vertices:
-            row: dict[int, int] = {}
-            for e in self._out[v]:
-                j = idx[e.dst]
-                row[j] = row.get(j, 0) + 1
-            rows.append(tuple(sorted(row.items())))
-        return tuple(rows)
+        rows: list[dict[int, int]] = [{} for _ in self.vertices]
+        for s, d in zip(*self._ends):
+            rows[s][d] = rows[s].get(d, 0) + 1
+        return tuple([tuple(sorted(row.items())) for row in rows])
 
     def strongly_connected_components(self) -> list["DirectedGraph"]:
         """SCC subgraphs that contain at least one edge, as separate graphs,
         in the order of their first vertex; edges keep their ids and order."""
         comps = _components(self.sparse_adjacency())
-        comp_of = {self.vertices[i]: c for c, comp in enumerate(comps) for i in comp}
+        comp_of = [-1] * len(self.vertices)
+        for c, comp in enumerate(comps):
+            for i in comp:
+                comp_of[i] = c
         comp_edges: list[list[Edge]] = [[] for _ in comps]
-        for e in self.edges:
-            c = comp_of.get(e.src)
-            if c is not None and c == comp_of.get(e.dst):
+        for e, s, d in zip(self.edges, *self._ends):
+            c = comp_of[s]
+            if c >= 0 and c == comp_of[d]:
                 comp_edges[c].append(e)
         return [
             DirectedGraph(tuple([self.vertices[i] for i in comp]), tuple(edges))

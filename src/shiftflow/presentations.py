@@ -4,21 +4,24 @@ Labels live in a tuple indexed by edge id, so pruning a graph never
 detaches an edge from its label.  Right-resolving means out-edges at
 each vertex carry distinct labels.
 
-Automata are `{label: next index}` rows, one dict per state, read with
-the helpers in `graphs`; only what a public function returns is built as
-a `LabeledGraph`.
+Every algorithm reads a labeled graph by vertex index, through its rows
+of (label, target index) pairs, and automata are `{label: next index}`
+rows, one dict per state, read with the helpers in `graphs`.  Vertex
+names appear only at the public boundary, and only what a public
+function returns is built as a `LabeledGraph`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import combinations, islice
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput, PreconditionError
-from .graphs import DirectedGraph, Edge, Vertex, _components, _index_rows, _restrict, _trim, _walks
+from .graphs import DirectedGraph, Edge, Vertex, _components, _essential, _index_rows, _restrict, _trim, _walks
 from .sft import ForbiddenSetSFT, _edge_shift, _unambiguous_word
-from .words import EMPTY_WORD, Word
+from .words import EMPTY_WORD, Word, _word
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,15 @@ class LabeledGraph:
             if not isinstance(self.labels[e.eid], str) or not self.labels[e.eid]:
                 raise InvalidInput(f"edge {e} carries a bad label")
 
+    @cached_property
+    def _rows(self) -> list[list[tuple[str, int]]]:
+        """Per vertex index the (label, target index) of each out-edge, in
+        edge order, built once per graph."""
+        rows: list[list[tuple[str, int]]] = [[] for _ in self.graph.vertices]
+        for e, s, d in zip(self.graph.edges, *self.graph._ends):
+            rows[s].append((self.labels[e.eid], d))
+        return rows
+
     def label(self, e: Edge) -> str:
         return self.labels[e.eid]
 
@@ -46,7 +58,8 @@ class LabeledGraph:
         return self if graph is self.graph else LabeledGraph(graph, self.labels)
 
     def out_labeled(self, v: Vertex) -> list[tuple[str, Vertex]]:
-        return [(self.labels[e.eid], e.dst) for e in self.graph.out_edges(v)]
+        i = self.graph._index.get(v)
+        return [] if i is None else [(a, self.graph.vertices[t]) for a, t in self._rows[i]]
 
 
 def labeled_graph(vertices, arcs) -> LabeledGraph:
@@ -64,39 +77,43 @@ def sft_presentation(x: ForbiddenSetSFT) -> LabeledGraph:
 
 
 def is_right_resolving(lg: LabeledGraph) -> bool:
-    for v in lg.graph.vertices:
-        labs = [lg.labels[e.eid] for e in lg.graph.out_edges(v)]
-        if len(labs) != len(set(labs)):
-            return False
-    return True
+    return all(len(row) == len({a for a, _ in row}) for row in lg._rows)
+
+
+def _essential_rows(lg: LabeledGraph) -> list[list[tuple[str, int]]]:
+    """The rows of `lg`'s essential part, trimmed by `_essential` on the
+    edge ends and renumbered in vertex order; `lg`'s own rows when
+    nothing drops."""
+    rows = lg._rows
+    keep = _essential(len(rows), *lg.graph._ends)
+    if len(keep) == len(rows):
+        return rows
+    at = {i: k for k, i in enumerate(keep)}
+    return [[(a, at[t]) for a, t in rows[i] if t in at] for i in keep]
 
 
 def _subset_automaton(
-    lg: LabeledGraph, include_singletons: bool = False
-) -> tuple[list[tuple], list[dict[str, int]]]:
-    """Deterministic automaton of subsets reachable from the full vertex set.
+    rows: Sequence[Iterable[tuple[str, int]]], include_singletons: bool = False
+) -> tuple[list[frozenset[int]], list[dict[str, int]]]:
+    """Deterministic automaton of subsets reachable from the full index
+    set, for rows of (label, target index) pairs.
 
     States are indices in breadth-first order from state 0, the full set;
-    rows list labels in order.  `names[i]` is a state's tuple of original
-    vertices in graph order.  Words readable in `lg` correspond exactly to
-    paths from state 0.  With `include_singletons` every one-vertex subset
-    is seeded too.
+    rows list labels in order.  `states[i]` is a state's set of indices.
+    Words readable along the rows correspond exactly to paths from state
+    0; with no rows, state 0 is the empty set and reads nothing.  With
+    `include_singletons` every one-index subset is seeded too.
     """
-    vertices = lg.graph.vertices
-    if not vertices:
-        raise PreconditionError("empty presentation")
-    order = {v: i for i, v in enumerate(vertices)}
-    out = [[(lg.labels[e.eid], order[e.dst]) for e in lg.graph.out_edges(v)] for v in vertices]
-    seeds = [frozenset(range(len(vertices)))]
+    seeds = [frozenset(range(len(rows)))]
     if include_singletons:
-        seeds += [frozenset([i]) for i in range(len(vertices))]
+        seeds += [frozenset([i]) for i in range(len(rows))]
     index = {s: i for i, s in enumerate(dict.fromkeys(seeds))}
     states = list(index)
     delta: list[dict[str, int]] = []
     for s in states:
         follow: dict[str, set[int]] = {}
         for i in s:
-            for a, t in out[i]:
+            for a, t in rows[i]:
                 follow.setdefault(a, set()).add(t)
         row = {}
         for a in sorted(follow):
@@ -106,7 +123,7 @@ def _subset_automaton(
                 states.append(nxt)
             row[a] = index[nxt]
         delta.append(row)
-    return [tuple([vertices[i] for i in sorted(s)]) for s in states], delta
+    return states, delta
 
 
 def determinize(lg: LabeledGraph) -> LabeledGraph:
@@ -118,18 +135,20 @@ def determinize(lg: LabeledGraph) -> LabeledGraph:
     rows, and the one graph built holds only the survivors, with the
     vertices, edges and ids of the whole automaton's essential part.
     """
-    names, delta = _subset_automaton(lg, include_singletons=True)
-    keep = _trim(delta)
-    kept = set(keep)
+    vertices = lg.graph.vertices
+    if not vertices:
+        raise PreconditionError("empty presentation")
+    states, delta = _subset_automaton(lg._rows, include_singletons=True)
+    names = {i: tuple([vertices[j] for j in sorted(states[i])]) for i in _trim(delta)}
     edges = []
     labels = []
     # Ids count every arc, so they are those of the whole automaton's graph.
     for i, row in enumerate(delta):
         for a, t in row.items():
-            if i in kept and t in kept:
+            if i in names and t in names:
                 edges.append(Edge(names[i], names[t], len(labels)))
             labels.append(a)
-    return LabeledGraph(DirectedGraph(tuple([names[i] for i in keep]), tuple(edges)), tuple(labels))
+    return LabeledGraph(DirectedGraph(tuple(names.values()), tuple(edges)), tuple(labels))
 
 
 def _moore_classes(delta: list[dict[str, int]]) -> list[int]:
@@ -156,38 +175,44 @@ def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
     Counting must run on the essential part: a label path that dead-ends
     is readable but belongs to no point.
     """
-    ess = lg.essential_part()
-    if not ess.graph.vertices:
-        return [0] * upto
-    _, delta = _subset_automaton(ess)
+    _, delta = _subset_automaton(_essential_rows(lg))
     return [vec[0] for vec in islice(_walks(_index_rows(delta)), 1, upto + 1)]
 
 
-def _same_shift(p: LabeledGraph, q: LabeledGraph, first: list[dict[str, int]] | None = None) -> bool:
-    """Whether p and q present the same shift, by a walk over pairs of
-    states of their subset automata (essential parts, both nonempty) from
-    the two seeds.  `first`, when given, is p's automaton.
+def _pair_walk(first: list[dict[str, int]], second: list[dict[str, int]], start: tuple[int, int]) -> Word | None:
+    """The shortest word, least in label order, readable from exactly one
+    side of a pair: state start[0] of `first` and state start[1] of
+    `second`, two deterministic automata whose rows list labels in order.
+    None when both sides read the same words.
 
-    Both automata are deterministic and every state accepts, so a word
-    reads in one exactly when it reads in the other until some reached
-    pair offers different labels: the languages are equal iff no pair does.
+    A breadth-first walk over the pairs of states the words reach, each
+    pair first reached along its least word; the first pair whose rows
+    offer different labels ends it with the least of those labels.
     """
-    if first is None:
-        _, first = _subset_automaton(p.essential_part())
-    _, second = _subset_automaton(q.essential_part())
-    seen = {(0, 0)}
-    todo = [(0, 0)]
-    while todo:
-        i, j = todo.pop()
-        here, there = first[i], second[j]
+    parent: dict[tuple[int, int], tuple | None] = {start: None}
+    queue = [start]
+    for pair in queue:
+        here, there = first[pair[0]], second[pair[1]]
         if here.keys() != there.keys():
-            return False
+            word = [min(here.keys() ^ there.keys())]
+            while parent[pair] is not None:
+                pair, a = parent[pair]
+                word.append(a)
+            return _word(reversed(word))
         for a, t in here.items():
-            pair = (t, there[a])
-            if pair not in seen:
-                seen.add(pair)
-                todo.append(pair)
-    return True
+            nxt = (t, there[a])
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    return None
+
+
+def _same_shift(first: list[dict[str, int]], second: list[dict[str, int]]) -> bool:
+    """Whether two subset automata, each seeded with the full set of an
+    essential presentation, present the same shift: every state accepts,
+    so the languages are equal iff the pair walk from the two seeds finds
+    no word that only one side reads."""
+    return _pair_walk(first, second, (0, 0)) is None
 
 
 def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
@@ -198,14 +223,17 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     the unique sink component, the one no edge leaves, all on index rows.
     Vertices and edges on no bi-infinite path never reach the automaton,
     so they do not change the result.  Its language is contained in the
-    input's; `_same_shift` certifies equality by its pair walk, reading
-    the determinization as the input's automaton.  Inputs presenting a
-    reducible shift are rejected.
+    input's; `_same_shift` certifies equality, reading the determinization
+    as the input's automaton and the result's straight from the sink's
+    rows (strongly connected, so essential).  Inputs presenting a
+    reducible shift are rejected.  The result is the one graph built.
     """
-    ess = lg.essential_part()
-    if lg.graph.vertices and not ess.graph.vertices:
+    if not lg.graph.vertices:
+        raise PreconditionError("empty presentation")
+    rows = _essential_rows(lg)
+    if not rows:
         raise PreconditionError("presentation has no bi-infinite points")
-    _, det = _subset_automaton(ess)
+    _, det = _subset_automaton(rows)
     delta = _restrict(det, _trim(det))
     classes = _moore_classes(delta)
     first = dict(zip(reversed(classes), reversed(range(len(classes)))))  # each class's least state
@@ -214,10 +242,9 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
     sinks = [comp for comp in comps if set(comp).issuperset(t for i in comp for t in merged[i].values())]
     if len(sinks) == 1:
         sink = _restrict(merged, sinks[0])
-        arcs = [(str(i), str(t), a) for i, row in enumerate(sink) for a, t in row.items()]
-        result = labeled_graph([str(i) for i in range(len(sink))], arcs)
-        if _same_shift(ess, result, det):
-            return result
+        if _same_shift(det, _subset_automaton([row.items() for row in sink])[1]):
+            arcs = [(str(i), str(t), a) for i, row in enumerate(sink) for a, t in row.items()]
+            return labeled_graph([str(i) for i in range(len(sink))], arcs)
     raise PreconditionError(
         "presentation is not an irreducible sofic shift; "
         "minimize each strongly connected component separately"
@@ -226,18 +253,20 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
 
 def follower_table(lg: LabeledGraph, depth: int) -> dict[Vertex, frozenset[Word]]:
     """Words of length <= depth readable from each vertex."""
-    table: dict[Vertex, set[Word]] = {v: {EMPTY_WORD} for v in lg.graph.vertices}
-    layer: dict[Vertex, set[Word]] = {v: {EMPTY_WORD} for v in lg.graph.vertices}
+    table = [{EMPTY_WORD} for _ in lg._rows]
+    layer = [{EMPTY_WORD} for _ in lg._rows]
     for _ in range(depth):
-        nxt: dict[Vertex, set[Word]] = {v: set() for v in lg.graph.vertices}
-        for v in lg.graph.vertices:
-            for a, t in lg.out_labeled(v):
-                for w in layer[t]:
-                    nxt[v].add(Word([a]) + w)
-        for v in lg.graph.vertices:
-            table[v] |= nxt[v]
-        layer = nxt
-    return {v: frozenset(ws) for v, ws in table.items()}
+        layer = [{Word([a]) + w for a, t in row for w in layer[t]} for row in lg._rows]
+        for words, new in zip(table, layer):
+            words |= new
+    return {v: frozenset(ws) for v, ws in zip(lg.graph.vertices, table)}
+
+
+def _follow(rows: list[list[tuple[str, int]]], focus: Iterable[int], word: Word) -> set[int]:
+    """The ends of the paths labeled `word` that start at an index in `focus`."""
+    for a in word:
+        focus = {t for i in focus for b, t in rows[i] if b == a}
+    return set(focus)
 
 
 def focus_set(lg: LabeledGraph, word: Word | str) -> frozenset:
@@ -247,43 +276,21 @@ def focus_set(lg: LabeledGraph, word: Word | str) -> frozenset:
     when a label has more than one character.
     """
     w = _unambiguous_word(word, lg.label_alphabet())
-    current = set(lg.graph.vertices)
-    for a in w:
-        current = {t for v in current for b, t in lg.out_labeled(v) if b == a}
+    current = _follow(lg._rows, range(len(lg._rows)), w)
     if not current:
         raise PreconditionError(f"{w!r} is not readable in the presentation")
-    return frozenset(current)
+    return frozenset([lg.graph.vertices[i] for i in current])
 
 
-def _separating_word(lg: LabeledGraph, focus: frozenset) -> Word | None:
-    """Shortest word killing exactly one of a tracked pair of threads.
-
-    Pairs are tried in vertex order; label order breaks ties, so the
-    answer is reproducible.
-    """
-    order = {v: i for i, v in enumerate(lg.graph.vertices)}
-    step = {v: dict(lg.out_labeled(v)) for v in lg.graph.vertices}
-    alphabet = lg.label_alphabet()
-    members = sorted(focus, key=order.__getitem__)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            start = (members[i], members[j])
-            queue = deque([(start, EMPTY_WORD)])
-            seen = {start}
-            while queue:
-                (x, y), w = queue.popleft()
-                for a in alphabet:
-                    nx = step[x].get(a) if x is not None else None
-                    ny = step[y].get(a) if y is not None else None
-                    if nx is None and ny is None:
-                        continue
-                    nw = w + Word([a])
-                    if (nx is None) != (ny is None):
-                        return nw
-                    state = (nx, ny)
-                    if state not in seen:
-                        seen.add(state)
-                        queue.append((state, nw))
+def _separating_word(rows: list[dict[str, int]], focus: Iterable[int]) -> Word | None:
+    """Shortest word killing exactly one of a tracked pair of threads: the
+    pair walk on right-resolving rows, `{label: next index}` in label
+    order, from each pair of focus indices in increasing order; label
+    order breaks ties, so the answer is reproducible."""
+    for start in combinations(sorted(focus), 2):
+        z = _pair_walk(rows, rows, start)
+        if z is not None:
+            return z
     return None
 
 
@@ -291,16 +298,18 @@ def extend_to_synchronizing(lg: LabeledGraph, word: Word | str) -> Word:
     """Extend a language word until its focus set is a single vertex.
 
     Requires a right-resolving presentation; each appended block kills
-    at least one surviving thread, so the loop terminates.
+    at least one surviving thread, so the loop terminates.  The focus
+    set of the longer word is the current one followed along the block.
     """
     if not is_right_resolving(lg):
         raise PreconditionError("presentation must be right-resolving")
     w = _unambiguous_word(word, lg.label_alphabet())
-    focus = focus_set(lg, w)
+    focus = {lg.graph._index[v] for v in focus_set(lg, w)}
+    rows = [dict(sorted(row)) for row in lg._rows]
     while len(focus) > 1:
-        z = _separating_word(lg, focus)
+        z = _separating_word(rows, focus)
         if z is None:
             raise PreconditionError("focus threads cannot be separated; presentation is not follower-separated")
         w = w + z
-        focus = focus_set(lg, w)
+        focus = _follow(lg._rows, focus, z)
     return w

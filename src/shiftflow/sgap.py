@@ -356,6 +356,8 @@ def _fe_equal_exact(
         n = max(forced_a.bit_count(), forced_b.bit_count())
         if n < best_n:
             best_n, best_r = n, r
+            if not n:  # no later r can have fewer removals
+                break
     if best_r is None:
         return FEVerdict("unknown_up_to", bound=bound)
     return FEVerdict("equivalent", witness=(best_n, best_r))

@@ -29,7 +29,9 @@ and `short_words_by_windows`, with the path-count loop that built one
 generator per row on every step, `walks_by_generators`;
 and the presentation algorithms that built a labeled graph for every
 intermediate automaton, from `_subset_automaton` to
-`minimal_right_resolving`, with the boost precondition that counted
+`minimal_right_resolving`, and the walkers that read a labeled graph by
+vertex name through its edges, `out_labeled` to `extend_to_synchronizing`,
+with the boost precondition that counted
 paths on a subgraph of the edge shift, `_full_pair_subshift_present`,
 kept verbatim under their library names.
 Deliberately slow.
@@ -357,6 +359,21 @@ def _seed_automaton(arcs: list[tuple]) -> tuple[dict, frozenset]:
     return delta, seed
 
 
+def _seed_counts(delta: Mapping, seed, horizon: int) -> list[int]:
+    """Paths of length 1 .. horizon from `seed` (none when it is None)
+    in a deterministic automaton given as {state: {label: next}}."""
+    vec = {} if seed is None else {seed: 1}
+    counts = []
+    for _ in range(horizon):
+        nxt: dict = {}
+        for state, c in vec.items():
+            for t in delta[state].values():
+                nxt[t] = nxt.get(t, 0) + c
+        vec = nxt
+        counts.append(sum(vec.values()))
+    return counts
+
+
 def same_language_by_counting(p: list[tuple], q: list[tuple]) -> bool:
     """Whether two labeled graphs, as (src, dst, label) triples, present
     shifts with equal word counts |B_n| for every n up to the horizon
@@ -367,19 +384,16 @@ def same_language_by_counting(p: list[tuple], q: list[tuple]) -> bool:
     """
     autos = [_seed_automaton(list(arcs)) for arcs in (p, q)]
     horizon = len(autos[0][0]) + len(autos[1][0]) + 2
-    counts = []
-    for delta, seed in autos:
-        vec = {seed: 1} if seed else {}
-        row = []
-        for _ in range(horizon):
-            nxt: dict[frozenset, int] = {}
-            for state, c in vec.items():
-                for t in delta[state].values():
-                    nxt[t] = nxt.get(t, 0) + c
-            vec = nxt
-            row.append(sum(vec.values()))
-        counts.append(row)
-    return counts[0] == counts[1]
+    return _seed_counts(autos[0][0], autos[0][1] or None, horizon) == _seed_counts(
+        autos[1][0], autos[1][1] or None, horizon
+    )
+
+
+def same_automata_by_counting(first: list[dict[str, int]], second: list[dict[str, int]]) -> bool:
+    """`same_language_by_counting` for two deterministic automata given as
+    `{label: next index}` rows, each read from its state 0."""
+    horizon = len(first) + len(second) + 2
+    return _seed_counts(dict(enumerate(first)), 0, horizon) == _seed_counts(dict(enumerate(second)), 0, horizon)
 
 
 def slices_by_all_factors(top, jmax: int) -> dict:
@@ -1318,6 +1332,11 @@ def walks_by_generators(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[l
         vec = [sum(k * vec[j] for j, k in row) for row in rows]
 
 
+def out_labeled(lg: LabeledGraph, v: Vertex) -> list[tuple[str, Vertex]]:
+    """(label, target) of each out-edge of v, read from the graph's edges."""
+    return [(lg.labels[e.eid], e.dst) for e in lg.graph.out_edges(v)]
+
+
 def _subset_automaton(
     lg: LabeledGraph, include_singletons: bool = False
 ) -> tuple[DirectedGraph, tuple[str, ...], Vertex]:
@@ -1351,7 +1370,7 @@ def _subset_automaton(
         states.append(s)
         follow: dict[str, set[Vertex]] = {}
         for v in s:
-            for a, t in lg.out_labeled(v):
+            for a, t in out_labeled(lg, v):
                 follow.setdefault(a, set()).add(t)
         for a in sorted(follow):
             nxt = frozenset(follow[a])
@@ -1382,7 +1401,7 @@ def _moore_classes(lg: LabeledGraph) -> dict[Vertex, int]:
     their own, since they vanish from the signature.
     """
     classes = {v: 0 for v in lg.graph.vertices}
-    step = {v: sorted(dict(lg.out_labeled(v)).items()) for v in lg.graph.vertices}
+    step = {v: sorted(dict(out_labeled(lg, v)).items()) for v in lg.graph.vertices}
     while True:
         renumber: dict[tuple, int] = {}
         new = {
@@ -1403,7 +1422,7 @@ def _quotient(lg: LabeledGraph, classes: dict[Vertex, int]) -> LabeledGraph:
     arcs: list[tuple[str, str, str]] = []
     for c in order:
         v = reps[c]
-        for a, t in sorted(lg.out_labeled(v)):
+        for a, t in sorted(out_labeled(lg, v)):
             arcs.append((rename[c], rename[classes[t]], a))
     return labeled_graph([rename[c] for c in order], arcs)
 
@@ -1469,6 +1488,96 @@ def minimal_right_resolving(lg: LabeledGraph) -> LabeledGraph:
         "presentation is not an irreducible sofic shift; "
         "minimize each strongly connected component separately"
     )
+
+
+def is_right_resolving(lg: LabeledGraph) -> bool:
+    for v in lg.graph.vertices:
+        labs = [lg.labels[e.eid] for e in lg.graph.out_edges(v)]
+        if len(labs) != len(set(labs)):
+            return False
+    return True
+
+
+def follower_table(lg: LabeledGraph, depth: int) -> dict[Vertex, frozenset[Word]]:
+    """Words of length <= depth readable from each vertex."""
+    table: dict[Vertex, set[Word]] = {v: {EMPTY_WORD} for v in lg.graph.vertices}
+    layer: dict[Vertex, set[Word]] = {v: {EMPTY_WORD} for v in lg.graph.vertices}
+    for _ in range(depth):
+        nxt: dict[Vertex, set[Word]] = {v: set() for v in lg.graph.vertices}
+        for v in lg.graph.vertices:
+            for a, t in out_labeled(lg, v):
+                for w in layer[t]:
+                    nxt[v].add(Word([a]) + w)
+        for v in lg.graph.vertices:
+            table[v] |= nxt[v]
+        layer = nxt
+    return {v: frozenset(ws) for v, ws in table.items()}
+
+
+def focus_set(lg: LabeledGraph, word: Word | str) -> frozenset:
+    """Terminal vertices of paths labeled by the word, from any start.
+
+    Raises when no path presents the word.  A plain string is refused
+    when a label has more than one character.
+    """
+    w = _unambiguous_word(word, lg.label_alphabet())
+    current = set(lg.graph.vertices)
+    for a in w:
+        current = {t for v in current for b, t in out_labeled(lg, v) if b == a}
+    if not current:
+        raise PreconditionError(f"{w!r} is not readable in the presentation")
+    return frozenset(current)
+
+
+def _separating_word(lg: LabeledGraph, focus: frozenset) -> Word | None:
+    """Shortest word killing exactly one of a tracked pair of threads.
+
+    Pairs are tried in vertex order; label order breaks ties, so the
+    answer is reproducible.
+    """
+    order = {v: i for i, v in enumerate(lg.graph.vertices)}
+    step = {v: dict(out_labeled(lg, v)) for v in lg.graph.vertices}
+    alphabet = lg.label_alphabet()
+    members = sorted(focus, key=order.__getitem__)
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            start = (members[i], members[j])
+            queue = deque([(start, EMPTY_WORD)])
+            seen = {start}
+            while queue:
+                (x, y), w = queue.popleft()
+                for a in alphabet:
+                    nx = step[x].get(a) if x is not None else None
+                    ny = step[y].get(a) if y is not None else None
+                    if nx is None and ny is None:
+                        continue
+                    nw = w + Word([a])
+                    if (nx is None) != (ny is None):
+                        return nw
+                    state = (nx, ny)
+                    if state not in seen:
+                        seen.add(state)
+                        queue.append((state, nw))
+    return None
+
+
+def extend_to_synchronizing(lg: LabeledGraph, word: Word | str) -> Word:
+    """Extend a language word until its focus set is a single vertex.
+
+    Requires a right-resolving presentation; each appended block kills
+    at least one surviving thread, so the loop terminates.
+    """
+    if not is_right_resolving(lg):
+        raise PreconditionError("presentation must be right-resolving")
+    w = _unambiguous_word(word, lg.label_alphabet())
+    focus = focus_set(lg, w)
+    while len(focus) > 1:
+        z = _separating_word(lg, focus)
+        if z is None:
+            raise PreconditionError("focus threads cannot be separated; presentation is not follower-separated")
+        w = w + z
+        focus = focus_set(lg, w)
+    return w
 
 
 def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int) -> bool:

@@ -61,17 +61,40 @@ def test_language_enum(capsys):
     )
 
 
-@pytest.mark.parametrize("length", [13, 15])
-def test_language_enum_past_the_candidate_limit_exits_2_at_once(capsys, length):
-    """Forbidding c^13 over {a, b, c} asks for the 3^13 candidate words of
-    length 13.  Without the limit, c^13 took 32 s to list 9 words and c^15
-    ran out of memory."""
-    doc = json.dumps({"alphabet": ["a", "b", "c"], "forbidden": ["c" * length]})
+def _forbidding_c(length: int) -> str:
+    return json.dumps({"alphabet": ["a", "b", "c"], "forbidden": ["c" * length]})
+
+
+TOO_MANY = "error: words of length 13 have 1594323 candidates, above the limit 1048576\n"
+FAR = '{"kind":"eventually_periodic","R":[],"T":[%d],"N":2}'
+
+# Hard inputs: each answers, or exits 2 with its message, within a second.
+# Forbidding c^13 over {a, b, c} asks for the 3^13 candidate words of
+# length 13: without the limit, `language enum` took 32 s to list 9 words
+# and c^15 ran out of memory.  The translation by one of an offset at
+# 100,000 scanned every translation up to the span and took 6 to 9 s.
+HARD_INPUTS = {
+    "language-enum-c13": (["language", "enum", "--n", "2", _forbidding_c(13)], 2, "", TOO_MANY),
+    "language-enum-c15": (["language", "enum", "--n", "2", _forbidding_c(15)], 2, "", TOO_MANY),
+    "graph-edge-shift-c13": (["graph", "edge-shift", _forbidding_c(13)], 2, "", TOO_MANY),
+    "entropy-c13": (["entropy", _forbidding_c(13)], 2, "", TOO_MANY),
+    "construct-boost-c13": (["construct", "boost", "--target", "1", _forbidding_c(13)], 2, "", TOO_MANY),
+    "sgap-fe-equal-far-100000": (
+        ["sgap", "fe-equal", FAR % 100_000, FAR % 100_001],
+        0,
+        '{"outcome":"equivalent","witness":{"n":0,"r":1}}\n',
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HARD_INPUTS)
+def test_hard_inputs_answer_or_exit_2_within_a_second(capsys, name):
+    argv, code, out, err = HARD_INPUTS[name]
     start = time.perf_counter()
-    code, out, err = run(capsys, ["language", "enum", "--n", "2", doc])
+    got = run(capsys, argv)
     assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert err == "error: words of length 13 have 1594323 candidates, above the limit 1048576\n"
+    assert got == (code, out, err)
 
 
 def test_language_enum_from_file(capsys, tmp_path):

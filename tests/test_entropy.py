@@ -8,17 +8,21 @@ import pytest
 
 from shiftflow import (
     DirectedGraph,
+    EntropyEstimate,
     InvalidInput,
     NonConvergenceError,
+    PreconditionError,
     ShiftSpaceError,
     Word,
     boost_entropy_construction,
     boost_entropy_pipeline,
     contains_word,
+    determinize,
     entropy_word_count,
     from_adjacency,
     full_shift,
     labeled_graph,
+    minimal_right_resolving,
     path_count,
     perron_entropy,
     scale_entropy_construction,
@@ -133,6 +137,17 @@ def test_sofic_entropy_counts_labels_not_paths():
     )
     assert sofic_entropy(lg).value == 0.0
     assert abs(perron_entropy(lg.graph).value - 0.5) < 1e-9
+
+
+def test_sofic_entropy_of_the_empty_presentation_is_that_of_perron():
+    """No vertices: entropy 0, as `perron_entropy` gives and as the empty
+    word count says; determinize and minimize still refuse it."""
+    lg = labeled_graph([], [])
+    assert sofic_entropy(lg) == perron_entropy(lg) == EntropyEstimate(0.0, "perron")
+    assert entropy_word_count(lg, 3) == EntropyEstimate(0.0, "word_count", 3, empty=True)
+    for f in (determinize, minimal_right_resolving):
+        with pytest.raises(PreconditionError, match="empty presentation"):
+            f(lg)
 
 
 def test_one_block_factor_and_embedding_monotonicity():

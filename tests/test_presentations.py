@@ -28,6 +28,7 @@ from shiftflow import (
 from shiftflow import presentations
 from shiftflow.graphs import DirectedGraph
 from shiftflow.jsonio import dumps, labeled_graph_json
+from shiftflow.words import EMPTY_WORD
 
 from . import oracles
 from .oracles import same_language_by_counting
@@ -237,38 +238,64 @@ def _minimize_outcome(lg: LabeledGraph) -> tuple[str, str]:
         return "refused", str(exc)
 
 
+def _automaton(lg: LabeledGraph) -> list[dict[str, int]]:
+    """The subset automaton of lg's essential part, seeded with its full set."""
+    return presentations._subset_automaton(presentations._essential_rows(lg))[1]
+
+
+def _automaton_arcs(delta: list[dict[str, int]]) -> list[tuple]:
+    return [(i, t, a) for i, row in enumerate(delta) for a, t in row.items()]
+
+
 def test_moore_certificate_matches_counting_oracle(monkeypatch):
     """The pair-walk certificate, the Moore-partition certificate it
     replaced and word counting up to the horizon give the same verdict on
     every pair they are asked about, and minimization accepts or refuses
-    (same message) under either.  The automaton minimization hands the
-    certificate is the one the certificate would build itself."""
+    (same message) under either.  Minimization hands the certificate the
+    input's automaton as the certificate test builds it, and, for the
+    result, the automaton of the graph it returns, read from the sink rows."""
     graphs = [_differential_graph(seed) for seed in range(300)]
     walk = presentations._same_shift
     verdicts = []
+    asked = []
 
-    def checked(p, q, first=None):
-        if first is not None:
-            assert first == presentations._subset_automaton(p.essential_part())[1]
-        verdict = walk(p, q, first)
-        assert verdict == same_language_by_counting(_arcs(p), _arcs(q)), (_arcs(p), _arcs(q))
-        assert verdict == oracles._same_shift(p, q)
-        verdicts.append((verdict, first is not None))
+    def checked(first, second, pair=None):
+        """`pair` holds the presentations the automata come from; the
+        minimization pairs are read as the automata's own graphs."""
+        verdict = walk(first, second)
+        if pair is None:
+            assert verdict == oracles.same_automata_by_counting(first, second)
+            pair = [labeled_graph(range(len(d)), _automaton_arcs(d)) for d in (first, second)]
+        else:
+            assert verdict == same_language_by_counting(_arcs(pair[0]), _arcs(pair[1]))
+        assert verdict == oracles._same_shift(*pair)
+        verdicts.append(verdict)
+        asked.append((first, second))
         return verdict
 
     # Pairs beyond minimization: the graph against each of its strongly
     # connected sub-presentations, whose languages it contains.
     for lg in graphs:
         for comp in lg.graph.strongly_connected_components():
-            checked(lg, LabeledGraph(comp, lg.labels))
+            sub = LabeledGraph(comp, lg.labels)
+            checked(_automaton(lg), _automaton(sub), [lg, sub])
+    scc_pairs = len(verdicts)
     monkeypatch.setattr(presentations, "_same_shift", checked)
-    outcomes = [_minimize_outcome(lg) for lg in graphs]
-    monkeypatch.setattr(
-        presentations, "_same_shift", lambda p, q, first=None: same_language_by_counting(_arcs(p), _arcs(q))
-    )
+    outcomes = []
+    for lg in graphs:
+        asked.clear()
+        try:
+            m = minimal_right_resolving(lg)
+        except PreconditionError as exc:
+            outcomes.append(("refused", str(exc)))
+            assert all(first == _automaton(lg) for first, _ in asked)
+        else:
+            outcomes.append(("accepted", dumps(labeled_graph_json(m))))
+            assert asked == [(_automaton(lg), _automaton(m))]
+    monkeypatch.setattr(presentations, "_same_shift", oracles.same_automata_by_counting)
     assert [_minimize_outcome(lg) for lg in graphs] == outcomes
-    assert sum(v for v, _ in verdicts) > 100 and sum(not v for v, _ in verdicts) > 100
-    assert sum(reused for _, reused in verdicts) > 100
+    assert sum(verdicts) > 100 and len(verdicts) - sum(verdicts) > 100
+    assert len(verdicts) - scc_pairs > 100
     refused = {msg for kind, msg in outcomes if kind == "refused"}
     assert refused == {
         "presentation is not an irreducible sofic shift; minimize each strongly connected component separately"
@@ -389,6 +416,25 @@ def _outcome(f, *args):
     return dumps(labeled_graph_json(out)) if isinstance(out, LabeledGraph) else out
 
 
+def _check_walkers(lg: LabeledGraph) -> None:
+    """The walkers on index rows give what their name-keyed bodies give
+    on a right-resolving presentation: out-edges, right-resolving,
+    followers to depth 2, and for the empty word and each label the focus
+    set, the separating word of that focus and the synchronizing
+    extension (refusals included)."""
+    assert all(lg.out_labeled(v) == oracles.out_labeled(lg, v) for v in lg.graph.vertices)
+    assert is_right_resolving(lg) and oracles.is_right_resolving(lg)
+    assert follower_table(lg, 2) == oracles.follower_table(lg, 2)
+    rows = [dict(sorted(row)) for row in lg._rows]
+    for w in [EMPTY_WORD] + [Word([a]) for a in lg.label_alphabet()]:
+        focus = _outcome(focus_set, lg, w)
+        assert focus == _outcome(oracles.focus_set, lg, w)
+        if isinstance(focus, frozenset):
+            at = [lg.graph._index[v] for v in focus]
+            assert presentations._separating_word(rows, at) == oracles._separating_word(lg, focus)
+        assert _outcome(extend_to_synchronizing, lg, w) == _outcome(oracles.extend_to_synchronizing, lg, w)
+
+
 def test_index_automaton_matches_the_graph_pipeline():
     """Subset automaton, Moore classes, trim and quotient on index rows
     give the bytes of the pipeline that built a labeled graph for every
@@ -396,7 +442,8 @@ def test_index_automaton_matches_the_graph_pipeline():
     sofic entropy and word counts, and the shift-equality certificate
     against each strongly connected sub-presentation.  Minimization
     gives what the oracle gives for the input's essential part, or, when
-    that is empty, the oracle's refusal of the input."""
+    that is empty, the oracle's refusal of the input.  The walkers give
+    what they gave reading vertex names, on the determinization."""
     kinds = {"accepted": 0, "refused": 0, "empty": 0, "parallel": 0, "loop": 0, "pairs": 0}
     for seed in range(2000):
         lg = _index_form_case(seed)
@@ -409,8 +456,10 @@ def test_index_automaton_matches_the_graph_pipeline():
         assert presentations._sofic_word_counts(lg, 12) == oracles._sofic_word_counts(lg, 12)
         for comp in lg.graph.strongly_connected_components():
             sub = LabeledGraph(comp, lg.labels)
-            assert presentations._same_shift(lg, sub) == oracles._same_shift(lg, sub)
+            assert presentations._same_shift(_automaton(lg), _automaton(sub)) == oracles._same_shift(lg, sub)
             kinds["pairs"] += 1
+        assert is_right_resolving(lg) == oracles.is_right_resolving(lg)
+        _check_walkers(determinize(lg))
         arcs = _arcs(lg)
         kinds["empty"] += not ess.graph.vertices
         kinds["parallel"] += len({(s, d) for s, d, _ in arcs}) < len(arcs)
@@ -419,11 +468,11 @@ def test_index_automaton_matches_the_graph_pipeline():
 
 
 def test_minimize_builds_only_its_result(monkeypatch):
-    """One minimization of an essential presentation builds its result
-    and no other graph: the certificate reuses the determinization, and
-    both essential parts are the graphs themselves.  An input with a dead
-    end adds one graph, its essential part, built first and minimized in
-    its place, so the result has the essential input's bytes."""
+    """One minimization builds its result and no other graph, with or
+    without dead ends: the input is trimmed on its rows, the certificate
+    reuses the determinization and reads the result's automaton from the
+    sink rows.  An input with a dead end gives the essential input's
+    bytes."""
     built = []
     post_init = DirectedGraph.__post_init__
 
@@ -439,6 +488,5 @@ def test_minimize_builds_only_its_result(monkeypatch):
     assert len(built) == 1 and built[0] is m.graph
     built.clear()
     m_dead = minimal_right_resolving(dead_end)
-    assert len(built) == 2 and built[1] is m_dead.graph
-    assert built[0].vertices == tuple("wxyz")
+    assert len(built) == 1 and built[0] is m_dead.graph
     assert dumps(labeled_graph_json(m_dead)) == dumps(labeled_graph_json(m))

@@ -59,6 +59,14 @@ CLIFFS = {
         "g = DirectedGraph.build(names, list(zip(names, names[1:])) + [('c1', 'c0')])\n",
         "g.essential_part()",
     ),
+    # Two exact gap sets whose offsets 100,000 and 100,001 differ by a
+    # translation: scanning every translation up to the span took 9 s.
+    "fe_equal_far_100000": (
+        "from shiftflow import EventuallyPeriodicGaps, fe_equal\n"
+        "a = EventuallyPeriodicGaps((), (100_000,), 2)\n"
+        "b = EventuallyPeriodicGaps((), (100_001,), 2)\n",
+        "fe_equal(a, b)",
+    ),
     # Perron root of [[2]] with every edge a path of 200 edges.
     "scale_200_perron": (
         "from shiftflow import perron_entropy, scale_entropy_construction\n"
