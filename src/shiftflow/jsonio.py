@@ -13,7 +13,7 @@ from typing import Any
 
 from .entropy import EntropyEstimate
 from .errors import InvalidInput
-from .graphs import DirectedGraph, from_adjacency
+from .graphs import DirectedGraph
 from .invariants import SignedBFGroup
 from .moves import MovePipeline, Recode, SymbolContraction, SymbolExpansion, WordContraction
 from .presentations import LabeledGraph

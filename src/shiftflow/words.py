@@ -16,7 +16,7 @@ compare equal to Words; each result is wrapped once with `_word`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 

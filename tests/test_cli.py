@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import shlex
 import time
@@ -12,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from shiftflow import to_m_step
-from shiftflow.cli import main
-from shiftflow.jsonio import dumps, graph_json, parse_sft, sft_json
+from shiftflow.cli import _COMMANDS, main
+from shiftflow.jsonio import dumps, graph_json, parse_sft, sft_json, sgap_json
 from shiftflow.sft import _edge_shift
 
 from .oracles import edge_shift_by_words
+from .test_sgap import _partner, _random_gaps
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GM = '{"alphabet":["0","1"],"forbidden":["11"]}'
@@ -291,6 +293,16 @@ def test_moves_apply_rejects_foreign_word(capsys):
     assert "is not in the source language" in err
 
 
+def test_moves_apply_refuses_an_ambiguous_plain_word(capsys):
+    """Over an alphabet with a multi-character symbol a plain string could
+    name more than one word; a JSON array names its symbols."""
+    pipe = '{"source":{"alphabet":["a","b","ab"],"forbidden":[]},"moves":[]}'
+    ambiguous = "error: 'ab' is ambiguous over an alphabet with multi-character symbols; pass a Word\n"
+    assert run(capsys, ["moves", "apply", pipe, "ab"]) == (2, "", ambiguous)
+    assert run(capsys, ["moves", "apply", pipe, '["ab"]']) == (0, '{"word":["ab"],"image":["ab"],"decided":true}\n', "")
+    assert run(capsys, ["moves", "apply", pipe, '["a","b"]']) == (0, '{"word":"ab","image":"ab","decided":true}\n', "")
+
+
 def test_sgap_classify(capsys):
     code, out, _ = run(capsys, ["sgap", "classify", '{"kind":"finite","elements":[0,2]}'])
     assert code == 0
@@ -364,6 +376,80 @@ def test_bad_json_and_missing_files(capsys):
     code, _, err = run(capsys, ["validate", "no_such_file.json"])
     assert code == 2
     assert err.startswith("error: cannot read no_such_file.json")
+
+
+def test_exit_3_exactly_when_the_answer_carries_a_bound(capsys):
+    """Seeded exact and sampled gap sets: `sgap fe-equal` and `sgap
+    classify` exit 3 when the printed answer has a `bound` key, 0 when it
+    has none; for `fe-equal` that is when the outcome is one of the two
+    verdicts up to a bound."""
+    rng = random.Random(71)
+    codes = {0: 0, 3: 0}
+    for _ in range(300):
+        s1 = _random_gaps(rng)
+        s2 = _partner(rng, s1)
+        bound = str(rng.choice((1, 2, 5, 50, 200)))
+        first, second = (json.dumps(sgap_json(s)) for s in (s1, s2))
+        for argv in (["sgap", "fe-equal", "--bound", bound, first, second], ["sgap", "classify", first]):
+            code, out, err = run(capsys, argv)
+            doc = json.loads(out)
+            assert (code, err) == (3 if "bound" in doc else 0, ""), argv
+            codes[code] += 1
+            if argv[1] == "fe-equal":
+                assert (code == 3) == (doc["outcome"] in ("not_equivalent_up_to", "unknown_up_to")), argv
+    assert min(codes[0], codes[3]) > 100, codes
+
+
+# What `--help` lists, in order: top-level entries, then each group's
+# commands, then each command's arguments as its usage line names them.
+HELP_TREE = {
+    "invariant": {"bf": ["matrix"]},
+    "fe": {"decide-sft": ["a", "b"]},
+    "language": {"enum": ["--n", "sft"]},
+    "graph": {"edge-shift": ["sft"]},
+    "presentation": {"minimize": ["presentation"]},
+    "entropy": ["--method", "--n", "input"],
+    "construct": {"scale": ["--n", "input"], "boost": ["--target", "--symbols", "sft"]},
+    "moves": {"apply": ["--trace", "pipeline", "word"]},
+    "sgap": {"classify": ["set"], "fe-equal": ["--bound", "s1", "s2"]},
+    "validate": ["input"],
+}
+
+
+def _help(capsys, words: list[str]) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, ""), words
+    return out
+
+
+def _listed(help_text: str) -> list[str]:
+    """The subcommands a help text lists, in order."""
+    return re.findall(r"^    (\S+)", help_text, re.M)
+
+
+def _usage_arguments(help_text: str, words: list[str]) -> list[str]:
+    """The option and positional names of a usage line, metavars and
+    choices left out.  Wrapped usage lines only add white space."""
+    tokens = help_text.split("\n\n")[0].split()
+    assert tokens[: 2 + len(words)] == ["usage:", "shiftflow", *words], tokens
+    tokens = [t.strip("[]") for t in tokens[2 + len(words) :]]
+    return [t for t in tokens if t != "-h" and not t.isupper() and not t.startswith("{")]
+
+
+def test_help_lists_every_command_in_order(capsys):
+    commands = [(list(words), [name for name, _ in arguments]) for words, _, handler, arguments in _COMMANDS if handler]
+    expected = []
+    for top, entry in HELP_TREE.items():
+        expected += [([top, sub], args) for sub, args in entry.items()] if isinstance(entry, dict) else [([top], entry)]
+    assert commands == expected
+    assert _listed(_help(capsys, [])) == list(HELP_TREE)
+    for top, entry in HELP_TREE.items():
+        if isinstance(entry, dict):
+            assert _listed(_help(capsys, [top])) == list(entry), top
+    for words, args in expected:
+        assert _usage_arguments(_help(capsys, words), words) == args, words
 
 
 def test_unknown_command_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Every private helper in src/shiftflow is used somewhere in src/shiftflow,
-and every exported function is named in some test.
+every name a module imports is used in that module, and every exported
+function is named in some test.
 
 A `def _name`, a `class _Name` or a module-level `_NAME = ...` counts as
 used when a `Name` or an `Attribute` with that name appears in the
@@ -65,6 +66,30 @@ def test_no_unused_private_helpers():
         if not any(id(ref) not in own for ref in refs.get(name, [])):
             unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, "private helpers nothing in src/shiftflow uses: " + ", ".join(unused)
+
+
+def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(bound name, line) for each name an import statement binds,
+    `from __future__` imports left out."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    return out
+
+
+def test_no_unused_imports():
+    """`__init__.py` is exempt: its imports are the package's re-exports."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, "imports their module never uses: " + ", ".join(unused)
 
 
 def test_every_exported_function_is_named_in_a_test():

@@ -9,20 +9,26 @@ working tree, to compare them row by row.  Each cliff runs in its own
 space is capped with `resource.setrlimit(RLIMIT_AS)` before it starts,
 so a cliff that needs more raises `MemoryError`, and the child is killed
 past the wall-time cap.  Set-up (imports, building the input) is not
-timed.  Per cliff and root it prints the seconds of the timed call and
-the child's peak RSS, or `timeout`, or the error's type and message.
-Nothing is written.  Stdlib only; needs a Unix `resource` module.
+timed.  Each cliff runs three times per root, the roots taking turns,
+so a drift in the machine's speed reaches every root alike.  Per cliff
+and root it prints the median and the min-max of the seconds of the
+timed call and the largest peak RSS of the three children, or, at the
+first run that fails, `timeout` or the error's type and message (a root
+that fails is not run again).  Nothing is written.  Stdlib only; needs a
+Unix `resource` module.
 """
 
 from __future__ import annotations
 
 import argparse
 import resource
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+REPEATS = 3
 
 # name -> (set-up, timed statement); both run with `shiftflow` importable.
 CLIFFS = {
@@ -82,12 +88,12 @@ sys.path.insert(0, {src!r})
 start = time.perf_counter()
 {stmt}
 elapsed = time.perf_counter() - start
-print(f"{{elapsed:.3f}} s, peak {{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}} MiB")
+print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
-def run_cliff(root: Path, name: str, seconds: float, mib: int) -> str:
-    """One cliff in a fresh child under the caps: its report line."""
+def run_cliff(root: Path, name: str, seconds: float, mib: int) -> tuple[float, float] | str:
+    """One cliff in a fresh child under the caps: (seconds, peak MiB), or why it failed."""
     setup, stmt = CLIFFS[name]
     code = CHILD.format(src=str(root / "src"), setup=setup, stmt=stmt)
     cap = mib * 1024 * 1024
@@ -103,7 +109,17 @@ def run_cliff(root: Path, name: str, seconds: float, mib: int) -> str:
     if proc.returncode != 0:
         lines = proc.stderr.strip().splitlines()
         return lines[-1] if lines else f"exit {proc.returncode}"
-    return proc.stdout.strip().splitlines()[-1]
+    elapsed, peak = proc.stdout.split()[-2:]
+    return float(elapsed), float(peak)
+
+
+def report(runs: list[tuple[float, float] | str]) -> str:
+    """Median and min-max seconds and the largest peak of a root's runs, or its failure."""
+    if isinstance(runs[-1], str):
+        return runs[-1]
+    times = [t for t, _ in runs]
+    peak = max(p for _, p in runs)
+    return f"{statistics.median(times):.3f} s ({min(times):.3f}-{max(times):.3f}), peak {peak:.0f} MiB"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,9 +130,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mib", type=int, default=2048, help="address-space cap per cliff, MiB")
     args = parser.parse_args(argv)
     for name in args.only or CLIFFS:
-        for root in args.roots:
+        runs: list[tuple[Path, list]] = [(root, []) for root in args.roots]
+        for _ in range(REPEATS):
+            for root, results in runs:
+                if not results or not isinstance(results[-1], str):
+                    results.append(run_cliff(root.resolve(), name, args.seconds, args.mib))
+        for root, results in runs:
             where = f"  {root}" if len(args.roots) > 1 else ""
-            print(f"{name:20} {run_cliff(root.resolve(), name, args.seconds, args.mib)}{where}", flush=True)
+            print(f"{name:20} {report(results)}{where}", flush=True)
     return 0
 
 
