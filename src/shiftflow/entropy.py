@@ -12,7 +12,7 @@ from .errors import InvalidInput, NonConvergenceError
 from .graphs import DirectedGraph, _adjacency_rows, _components, _index_rows, _walks, from_adjacency
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, _subset_automaton
-from .sft import ForbiddenSetSFT, _edge_shift, _short_words, language_count
+from .sft import ForbiddenSetSFT, _edge_graph, _edge_shift, _short_words, language_count
 from .words import Word
 
 
@@ -26,7 +26,7 @@ class EntropyEstimate:
 
 def _as_graph(obj) -> DirectedGraph:
     if isinstance(obj, ForbiddenSetSFT):
-        return _edge_shift(obj).graph
+        return _edge_graph(obj)[0]
     if isinstance(obj, DirectedGraph):
         return obj
     if isinstance(obj, LabeledGraph):

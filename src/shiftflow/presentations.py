@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInput, PreconditionError
 from .graphs import DirectedGraph, Edge, Vertex, _components, _essential, _index_rows, _restrict, _trim, _walks
-from .sft import ForbiddenSetSFT, _edge_shift, _unambiguous_word
+from .sft import ForbiddenSetSFT, _edge_graph, _unambiguous_word
 from .words import EMPTY_WORD, Word, _word
 
 
@@ -72,8 +72,8 @@ def labeled_graph(vertices, arcs) -> LabeledGraph:
 def sft_presentation(x: ForbiddenSetSFT) -> LabeledGraph:
     """Right-resolving presentation of an SFT: the edge-shift graph with
     each edge labeled by the last symbol of its word."""
-    data = _edge_shift(x)
-    return LabeledGraph(data.graph, tuple([w[-1] for w in data.words]))
+    graph, words = _edge_graph(x)
+    return LabeledGraph(graph, tuple([w[-1] for w in words]))
 
 
 def is_right_resolving(lg: LabeledGraph) -> bool:

@@ -2,12 +2,14 @@
 
 The central object is `ForbiddenSetSFT`.  Everything derived from it
 (language, membership, word counts, the edge-shift graph) reads one
-cached index automaton, the essential edge shift as `{symbol: next
-index}` rows (`EdgeShiftData`), so repeated queries stay cheap.  Inside,
-words are plain symbol tuples, which hash and compare equal to Words;
-each word handed out is wrapped once with `_word`.  Membership and word
-counts are one pass each over the automaton, read along its rows or by
-paths; a `DirectedGraph` is built only where a graph is the output.
+cached index automaton, the essential edge shift as its vertices and
+`{symbol: next index}` rows (`EdgeShiftData`), so repeated queries stay
+cheap.  Inside, words are plain symbol tuples, which hash and compare
+equal to Words; each word handed out is wrapped once with `_word`.
+Membership and word counts are one pass each over the automaton, read
+along its rows or by paths.  A `DirectedGraph` is built only where a
+graph is the output, on each call, with the words of the step plus one
+grown again for its edge ids.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .graphs import DirectedGraph, Edge, _essential, _index_rows, _restrict, _strongly_connected, _walks
@@ -66,16 +68,21 @@ def full_shift(symbols: Iterable[str]) -> ForbiddenSetSFT:
 MAX_CANDIDATES = 2**20
 
 
+def _check_candidates(k: int, count: int) -> None:
+    """Refuse `count` candidate words of length k past `MAX_CANDIDATES`."""
+    if count > MAX_CANDIDATES:
+        raise PreconditionError(f"words of length {k} have {count} candidates, above the limit {MAX_CANDIDATES}")
+
+
 def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> list[tuple[str, ...]]:
     """All length-n words with no forbidden factor, as tuples in order.
 
-    Grown one length at a time: a word is kept when no forbidden word is
+    Grown one length at a time: u + (s,) is kept when no forbidden word is
     a suffix of it, so dead prefixes are dropped as soon as they appear.
     A suffix table maps each forbidden word's prefix to the last symbols
-    it bans; each word is extended by the alphabet, in order, minus the
-    symbols banned by the prefixes its suffixes hit, which keeps the
-    order.  Past `MAX_CANDIDATES` candidates for a length it raises
-    `PreconditionError`.
+    it bans; u is extended by the alphabet, in order, minus the symbols
+    banned by the prefixes its suffixes hit, which keeps the order.  Past
+    `MAX_CANDIDATES` candidates for a length it raises `PreconditionError`.
     """
     bans: dict[tuple[str, ...], set[str]] = {}
     for f in forbidden:
@@ -83,24 +90,22 @@ def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) ->
         bans.setdefault(t[:-1], set()).add(t[-1])
     lengths = sorted({len(p) for p in bans})
     symbols = alphabet.symbols
+
+    def successors(u: tuple[str, ...]) -> Sequence[str]:
+        k = len(u)
+        gone = None
+        for ln in lengths:
+            if ln > k:
+                break
+            b = bans.get(u[k - ln :])
+            if b is not None:
+                gone = b if gone is None else gone | b
+        return symbols if gone is None else [s for s in symbols if s not in gone]
+
     words: list[tuple[str, ...]] = [()]
     for k in range(1, n + 1):
-        count = len(words) * len(symbols)
-        if count > MAX_CANDIDATES:
-            raise PreconditionError(f"words of length {k} have {count} candidates, above the limit {MAX_CANDIDATES}")
-        cuts = [k - 1 - ln for ln in lengths if ln < k]
-        longer: list[tuple[str, ...]] = []
-        for u in words:
-            gone = None
-            for i in cuts:
-                b = bans.get(u[i:])
-                if b is not None:
-                    gone = b if gone is None else gone | b
-            if gone is None:
-                longer += [u + (s,) for s in symbols]
-            else:
-                longer += [u + (s,) for s in symbols if s not in gone]
-        words = longer
+        _check_candidates(k, len(words) * len(symbols))
+        words = [u + (s,) for u in words for s in successors(u)]
     return words
 
 
@@ -109,73 +114,83 @@ class EdgeShiftData:
     """The essential edge shift of an SFT at its own step m, as an index
     automaton.
 
-    `words` are the admissible (m+1)-words in order; a word's position is
-    its edge id.  `vertices` are the bi-extendable m-words, sorted, and
-    `delta[i]` maps the last symbol of each edge out of vertex i to the
-    index it leads to; a word whose ends did not both survive the trim
-    has no move.  `rows` are `delta`'s index rows.  `graph` and
-    `edge_words` build the same shift as a `DirectedGraph` with Word
-    vertices, and its Words, on first use; only they and the labels of
-    `sft_presentation` read `words`.
+    `vertices` are the bi-extendable m-words, sorted, and `delta[i]` maps
+    each symbol s that vertex u = vertices[i] can read to the index of
+    (u + (s,))[1:]; a move whose ends did not both survive the trim is
+    left out.  `index` and `rows` are derived from them on first use.  The
+    (m+1)-words are not kept: the graph outputs grow them again
+    (`_edge_graph`).
     """
 
-    words: tuple[tuple[str, ...], ...]
     vertices: tuple[tuple[str, ...], ...]
-    # Determined by the fields above, so left out of == and hash.
-    delta: list[dict[str, int]] = field(compare=False)
+    # Lists of dicts do not hash; equal vertices are enough for the hash.
+    delta: list[dict[str, int]] = field(hash=False)
 
     @cached_property
     def index(self) -> dict[tuple[str, ...], int]:
-        """Each vertex's index, for `contains_word` and `graph`."""
+        """Each vertex's index, for `contains_word` and `_edge_graph`."""
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def rows(self) -> list[list[tuple[int, int]]]:
         """Per vertex index the (j, edges to j) pairs in increasing j:
-        `graph.sparse_adjacency()` without building the graph."""
+        the graph's `sparse_adjacency()` without building the graph."""
         return _index_rows(self.delta)
 
-    @cached_property
-    def graph(self) -> DirectedGraph:
-        """The automaton as a graph: vertex words in order, an edge for each
-        live word, its id the word's position."""
-        vertex = [_word(v) for v in self.vertices]
-        index, delta = self.index, self.delta
-        edges = []
-        for eid, w in enumerate(self.words):
-            i = index.get(w[:-1])
-            if i is not None and (j := delta[i].get(w[-1])) is not None:
-                edges.append(Edge(vertex[i], vertex[j], eid))
-        return DirectedGraph(tuple(vertex), tuple(edges))
 
-    @cached_property
-    def edge_words(self) -> tuple[Word, ...]:
-        """`words` as Words: `edge_words[eid]` recovers an edge's word."""
-        return tuple([_word(w) for w in self.words])  # from a list: see `invariants.as_matrix`
-
-
+# A module-wide LRU, not a field of the shift: equal shifts rebuilt from
+# JSON share one automaton, and `perfbench/worker.py` reads the cache's
+# `cache_info()` and clears it.
 @lru_cache(maxsize=512)
 def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
-    """The edge shift of x: an edge w[:m] -> w[1:] for each admissible
-    (m+1)-word w, as `{last symbol: next index}` rows, trimmed to its
-    essential part by `graphs._essential` and `graphs._restrict`."""
+    """The edge shift of x: the admissible m-words, sorted, with a move
+    u -> (u + (s,))[1:] for each symbol s for which u + (s,) is
+    admissible, trimmed to its essential part by `graphs._essential` and
+    `graphs._restrict`.  No (m+1)-word is listed: u + (s,) is admissible
+    iff (u + (s,))[1:] is an admissible m-word and u + (s,) is not itself
+    forbidden, as its other suffixes are suffixes of (u + (s,))[1:].
+    Refuses, as `_admissible_words` does, more than `MAX_CANDIDATES`
+    candidate (m+1)-words."""
     m = x.step
-    words = _admissible_words(x.alphabet, x.forbidden, m + 1)
-    names = sorted({w[:m] for w in words} | {w[1:] for w in words})
+    names = sorted(_admissible_words(x.alphabet, x.forbidden, m))
+    symbols = x.alphabet.symbols
+    _check_candidates(m + 1, len(names) * len(symbols))
     at = {v: i for i, v in enumerate(names)}
-    src: list[int] = []
-    dst: list[int] = []
-    delta: list[dict[str, int]] = [{} for _ in names]
-    for w in words:
-        s, d = at[w[:m]], at[w[1:]]
-        src.append(s)
-        dst.append(d)
-        delta[s][w[-1]] = d
+    delta: list[dict[str, int]] = []
+    for u in names:
+        row = {}
+        for s in symbols:
+            w = (*u, s)
+            if (j := at.get(w[1:])) is not None and w not in x.forbidden:
+                row[s] = j
+        delta.append(row)
     del at  # not held while the trim runs
-    keep = _essential(len(names), src, dst)
+    keep = _essential(len(names), [i for i, row in enumerate(delta) for _ in row],
+                      [j for row in delta for j in row.values()])
     if len(keep) < len(names):
         names, delta = [names[i] for i in keep], _restrict(delta, keep)
-    return EdgeShiftData(tuple(words), tuple(names), delta)
+    return EdgeShiftData(tuple(names), delta)
+
+
+def _edge_graph(x: ForbiddenSetSFT) -> tuple[DirectedGraph, list[tuple[str, ...]]]:
+    """The edge shift of x as a `DirectedGraph`, built on each call for
+    the graph outputs, with the admissible (m+1)-words grown again.
+
+    The vertices are the automaton's, as Words in order; each word w
+    whose move w[:m] -> w[1:] survived the trim is an edge, its id the
+    word's position among the words, so the ids of trimmed words are
+    gaps.  Returns the graph and the words.
+    """
+    data = _edge_shift(x)
+    words = _admissible_words(x.alphabet, x.forbidden, x.step + 1)
+    vertex = [_word(v) for v in data.vertices]
+    index, delta = data.index, data.delta
+    edges = []
+    for eid, w in enumerate(words):
+        i = index.get(w[:-1])
+        if i is not None and (j := delta[i].get(w[-1])) is not None:
+            edges.append(Edge(vertex[i], vertex[j], eid))
+    return DirectedGraph(tuple(vertex), tuple(edges)), words
 
 
 def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
@@ -188,7 +203,8 @@ def to_m_step(x: ForbiddenSetSFT, m: int | None = None) -> ForbiddenSetSFT:
     The output lists every inadmissible (m+1)-word, about |A|^(m+1) of
     them, and building it walks all |A|^(m+1) words.  For the edge shift
     alone, `sft_presentation(x).graph` is the same graph without that
-    cost, built from the cached automaton of x.
+    cost, built from the cached automaton of x and its admissible
+    (m+1)-words.
     """
     if not x.forbidden:
         return x
@@ -212,8 +228,8 @@ def sft_to_edge_shift(x: ForbiddenSetSFT) -> tuple[DirectedGraph, dict[int, Word
     mixed lengths: the graph is the one of `to_m_step(x)`, whose
     admissible (M+1)-words are those of x, in the same order.
     """
-    data = _edge_shift(x)
-    return data.graph, {e.eid: data.edge_words[e.eid] for e in data.graph.edges}
+    graph, words = _edge_graph(x)
+    return graph, {e.eid: _word(words[e.eid]) for e in graph.edges}
 
 
 def _short_words(data: EdgeShiftData, n: int) -> set[tuple[str, ...]]:
@@ -273,10 +289,12 @@ def _unambiguous_word(word: Word | str, symbols: Iterable[str]) -> Word:
 
     A plain string is read one character per symbol, so it is refused
     when `symbols` has a longer symbol: "◇2" could be one symbol or two.
-    Pass a `Word` to say which.
+    Pass a `Word` to say which; on the command line, a JSON array of the
+    symbols says it.
     """
     if isinstance(word, str) and any(len(s) > 1 for s in symbols):
-        raise InvalidInput(f"{word!r} is ambiguous over an alphabet with multi-character symbols; pass a Word")
+        raise InvalidInput(f"{word!r} is ambiguous over an alphabet with multi-character symbols; pass a Word, "
+                           """or on the command line a JSON array of its symbols such as '["ab"]'""")
     return Word(word)
 
 

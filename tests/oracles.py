@@ -610,11 +610,11 @@ def admissible_words_by_words(alphabet: Alphabet, forbidden: frozenset[Word], n:
     return words
 
 
-def edge_shift_by_words(x: ForbiddenSetSFT) -> EdgeShiftData:
+def edge_shift_by_words(x: ForbiddenSetSFT) -> tuple[EdgeShiftData, DirectedGraph, tuple[Word, ...]]:
     """The edge-shift presentation of x at its step, on Word slices: the
-    essential graph trimmed by rescanning, its automaton read off the
-    graph's edges, and its `graph` and `edge_words` views set to that
-    graph and those Words."""
+    automaton read off the essential graph trimmed by rescanning, that
+    graph, and the admissible (m+1)-words as Words, an edge's id its
+    word's position among them."""
     m = x.step
     words = admissible_words_by_words(x.alphabet, x.forbidden, m + 1)
     vertices = sorted({w[:m] for w in words} | {w[1:] for w in words})
@@ -624,15 +624,13 @@ def edge_shift_by_words(x: ForbiddenSetSFT) -> EdgeShiftData:
     delta: list[dict[str, int]] = [{} for _ in index]
     for e in graph.edges:
         delta[index[e.src]][words[e.eid][-1]] = index[e.dst]
-    data = EdgeShiftData(tuple(map(tuple, words)), tuple(map(tuple, graph.vertices)), delta)
-    vars(data).update(graph=graph, edge_words=tuple(words))
-    return data
+    return EdgeShiftData(tuple(map(tuple, graph.vertices)), delta), graph, tuple(words)
 
 
 def short_words_by_words(data: EdgeShiftData, n: int) -> set[Word]:
     """The length-n language words for n at most the step, as Word factors
     of the vertex words."""
-    return {f for v in data.graph.vertices for f in v.factors(n)}
+    return {f for v in data.vertices for f in Word(v).factors(n)}
 
 
 def slices_below_by_words(top: set[Word], jmax: int) -> dict[int, set[Word]]:
@@ -662,8 +660,8 @@ def image_by_words(x: ForbiddenSetSFT, move: Move, k: int, alphabet: Alphabet) -
     """Image of x under a move as a k-step SFT, by the transducer walk of
     `moves._image` collecting its windows as Words."""
     step, start, burn = _transducer(move)
-    data = edge_shift_by_words(x)
-    succ = {v: [(e.dst, data.edge_words[e.eid][-1]) for e in data.graph.out_edges(v)] for v in data.graph.vertices}
+    _, graph, edge_words = edge_shift_by_words(x)
+    succ = {v: [(e.dst, edge_words[e.eid][-1]) for e in graph.out_edges(v)] for v in graph.vertices}
     runs = {(v, start) for v in succ}
     for _ in range(burn):
         runs = {(dst, step(q, s)[0]) for v, q in runs for dst, s in succ[v]}
@@ -1180,18 +1178,30 @@ def components_by_vertex(graph: DirectedGraph) -> list[DirectedGraph]:
     return out
 
 
-def gap_shift_presentation(s: EventuallyPeriodicGaps) -> LabeledGraph:
+def gap_shift_presentation(s: FiniteGaps | EventuallyPeriodicGaps) -> LabeledGraph:
     """Right-resolving presentation of the gap shift of R + (T + N*n) on
     states 0..K-1, K = max(max R + 1, max T) + N: state k counts the 0's
     since the last 1, goes to k + 1 on `0` (K - 1 goes back to K - N) and
     to 0 on `1` when k is a member.  The cycle starts past every sporadic
     element and every offset, so each cycle state stands for one residue
-    class of the tail, all of whose members it holds."""
+    class of the tail, all of whose members it holds.  T must not be
+    empty; a finite set goes to `finite_gap_shift_presentation`."""
+    if isinstance(s, FiniteGaps):
+        return finite_gap_shift_presentation(s)
     top = max(max(s.R, default=-1) + 1, max(s.T)) + s.N
     member = [k in s.R or any(k >= t and (k - t) % s.N == 0 for t in s.T) for k in range(top)]
     arcs = [(k, k + 1 if k + 1 < top else top - s.N, "0") for k in range(top)]
     arcs += [(k, 0, "1") for k in range(top) if member[k]]
     return labeled_graph(range(top), arcs)
+
+
+def finite_gap_shift_presentation(s: FiniteGaps) -> LabeledGraph:
+    """Right-resolving presentation of the gap shift of a finite set S on
+    states 0..max S with no cycle: state k counts the 0's since the last
+    1, goes to k + 1 on `0` below max S and to 0 on `1` when k is in S."""
+    top = max(s.elements)
+    arcs = [(k, k + 1, "0") for k in range(top)] + [(k, 0, "1") for k in s.elements]
+    return labeled_graph(range(top + 1), arcs)
 
 
 def essential_part_by_rescanning(graph: DirectedGraph) -> DirectedGraph:
@@ -1305,7 +1315,7 @@ def single_orbit_by_cycle_walk(mat: Matrix) -> bool:
 def short_words_by_windows(data: EdgeShiftData, n: int) -> set[tuple[str, ...]]:
     """The length-n words of the language for 1 <= n <= the step, as tuples:
     the length-n factors of the vertex words, its step-length words."""
-    return {f for v in data.graph.vertices for f in _windows(v, n)}
+    return {f for v in data.vertices for f in _windows(v, n)}
 
 
 def contains_word_by_windows(x: ForbiddenSetSFT, word: Word | str) -> bool:
@@ -1588,7 +1598,8 @@ def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int)
     if length <= m:
         pair_words = [w for w in _short_words(data, length) if all(s in pair for s in w)]
         return len(pair_words) == 2**length
-    sub_edges = [e for e in data.graph.edges if all(s in pair for s in data.edge_words[e.eid])]
+    graph, edge_words = sft_to_edge_shift(x)
+    sub_edges = [e for e in graph.edges if all(s in pair for s in edge_words[e.eid])]
     endpoints = sorted({e.src for e in sub_edges} | {e.dst for e in sub_edges})
     sub = DirectedGraph(tuple(endpoints), tuple(sub_edges))
     return path_count(sub, length - m) == 2**length

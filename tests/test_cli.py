@@ -157,10 +157,10 @@ def test_graph_edge_shift_bytes_match_the_rescanning_trim(capsys):
     for doc in docs:
         x = parse_sft(json.loads(doc))
         _edge_shift.cache_clear()
-        want = edge_shift_by_words(x)
-        labels = {e.eid: want.edge_words[e.eid].text() for e in want.graph.edges}
-        assert run(capsys, ["graph", "edge-shift", doc]) == (0, dumps(graph_json(want.graph, labels)) + "\n", ""), doc
-        trimmed += len(want.graph.edges) < len(want.edge_words)
+        _, graph, words = edge_shift_by_words(x)
+        labels = {e.eid: words[e.eid].text() for e in graph.edges}
+        assert run(capsys, ["graph", "edge-shift", doc]) == (0, dumps(graph_json(graph, labels)) + "\n", ""), doc
+        trimmed += len(graph.edges) < len(words)
     assert trimmed >= 3
 
 
@@ -297,7 +297,8 @@ def test_moves_apply_refuses_an_ambiguous_plain_word(capsys):
     """Over an alphabet with a multi-character symbol a plain string could
     name more than one word; a JSON array names its symbols."""
     pipe = '{"source":{"alphabet":["a","b","ab"],"forbidden":[]},"moves":[]}'
-    ambiguous = "error: 'ab' is ambiguous over an alphabet with multi-character symbols; pass a Word\n"
+    ambiguous = ("error: 'ab' is ambiguous over an alphabet with multi-character symbols; pass a Word, "
+                 """or on the command line a JSON array of its symbols such as '["ab"]'\n""")
     assert run(capsys, ["moves", "apply", pipe, "ab"]) == (2, "", ambiguous)
     assert run(capsys, ["moves", "apply", pipe, '["ab"]']) == (0, '{"word":["ab"],"image":["ab"],"decided":true}\n', "")
     assert run(capsys, ["moves", "apply", pipe, '["a","b"]']) == (0, '{"word":"ab","image":"ab","decided":true}\n', "")

@@ -1,11 +1,14 @@
 """The edge shift as an index automaton (`sft.EdgeShiftData`) against the
-Word-based construction kept in `oracles`: words, sorted essential
-vertices, rows, and the `graph` and `edge_words` views with their edge
-ends and ids.  Also the suffix-table growth of admissible words, and a
-clock-free count of the `DirectedGraph`s that library calls build."""
+Word-based construction kept in `oracles`: sorted essential vertices,
+moves and rows, and the graphs of `sft_to_edge_shift` and
+`sft_presentation` with their edge ends, ids, words and labels.  Also
+the suffix-table growth of admissible words, and clock-free counts of
+the `DirectedGraph`s that library calls build and of the word lengths
+they grow."""
 
 from __future__ import annotations
 
+import importlib
 import random
 from functools import cache
 
@@ -37,6 +40,8 @@ from shiftflow.sft import MAX_CANDIDATES, ForbiddenSetSFT, _admissible_words, _e
 
 from .oracles import admissible_words_by_words, edge_shift_by_words
 
+sft_module = importlib.import_module("shiftflow.sft")
+
 SYMBOL_SETS = (("0",), ("0", "1"), ("0", "0.1"), ("a", "◇2", "b"), ("a", "b", "c"))
 
 
@@ -66,29 +71,30 @@ def _shifts() -> list[ForbiddenSetSFT]:
 
 
 def test_edge_shift_automaton_matches_the_word_based_graph():
-    """Admissible words of every length up to m + 2, and the automaton
-    with its views, equal the oracle's; its rows equal the graph's
-    `sparse_adjacency`, so Perron floats are the same."""
+    """Admissible words of every length up to m + 2, the automaton, and
+    the graphs of the graph outputs equal the oracle's; its rows equal
+    the graph's `sparse_adjacency`, so Perron floats are the same."""
     steps, trimmed, empty = set(), 0, 0
     for x in _shifts():
         for n in range(x.step + 3):
             grown = admissible_words_by_words(x.alphabet, x.forbidden, n)
             assert _admissible_words(x.alphabet, x.forbidden, n) == grown, (x, n)
         _edge_shift.cache_clear()
-        got, want = _edge_shift(x), edge_shift_by_words(x)
+        got, (want, graph, words) = _edge_shift(x), edge_shift_by_words(x)
         assert got == want, x
-        assert got.delta == want.delta, x
-        assert all(type(w) is tuple for w in got.words + got.vertices)
-        assert tuple(map(tuple, got.rows)) == got.graph.sparse_adjacency() == want.graph.sparse_adjacency(), x
-        assert got.graph.vertices == want.graph.vertices
-        assert all(type(v) is Word for v in got.graph.vertices)
-        assert got.graph.edges == want.graph.edges
-        assert got.edge_words == want.edge_words
-        assert all(type(w) is Word for w in got.edge_words)
-        labels = {e.eid: want.edge_words[e.eid] for e in want.graph.edges}
-        assert sft_to_edge_shift(x) == (want.graph, labels)
+        assert all(type(v) is tuple for v in got.vertices)
+        assert tuple(map(tuple, got.rows)) == graph.sparse_adjacency(), x
+        got_graph, edge_words = sft_to_edge_shift(x)
+        assert got_graph.vertices == graph.vertices
+        assert all(type(v) is Word for v in got_graph.vertices)
+        assert got_graph.edges == graph.edges
+        assert edge_words == {e.eid: words[e.eid] for e in graph.edges}
+        assert all(type(w) is Word for w in edge_words.values())
+        lg = sft_presentation(x)
+        assert lg.graph.vertices == graph.vertices and lg.graph.edges == graph.edges
+        assert lg.labels == tuple(w[-1] for w in words)
         steps.add(x.step)
-        trimmed += len(want.graph.edges) < len(want.edge_words)
+        trimmed += len(graph.edges) < len(words)
         empty += not got.vertices
     assert {0, 1, 2, 3, 4} <= steps
     assert trimmed > 10 and empty > 10, (trimmed, empty)
@@ -105,16 +111,24 @@ def test_admissible_words_refuse_the_same_candidate_count():
 def test_only_graph_outputs_build_a_directed_graph(monkeypatch):
     """Counted without a clock, each call from a cold edge-shift cache:
     moves, language reads and the boost precondition read the automaton
-    and build no `DirectedGraph`; `sft_to_edge_shift` builds exactly one,
-    and keeps it for the next call."""
+    and build no `DirectedGraph`, and they and the automaton ask
+    `_admissible_words` for words of the step m only.  `sft_to_edge_shift`
+    and `sft_presentation` build exactly one graph and grow the
+    (m+1)-words once on each call, the automaton cached or not."""
     calls = [0]
-    real = DirectedGraph.__post_init__
+    asked: list[tuple[int, int]] = []
+    real, words = DirectedGraph.__post_init__, sft_module._admissible_words
 
     def counted(self):
         calls[0] += 1
         real(self)
 
+    def spy(alphabet, forbidden, n):
+        asked.append((max((len(w) for w in forbidden), default=1) - 1, n))
+        return words(alphabet, forbidden, n)
+
     monkeypatch.setattr(DirectedGraph, "__post_init__", counted)
+    monkeypatch.setattr(sft_module, "_admissible_words", spy)
     x = sft(["a", "b", "c"], ["ba", "bb", "ac", "cc", "aaa"])
     free = sft(["a", "b", "c"], ["ccc"])
     table = {u: "|".join(u) for u in enumerate_language(x, 3)}
@@ -123,6 +137,7 @@ def test_only_graph_outputs_build_a_directed_graph(monkeypatch):
     def built(fn, *args):
         _edge_shift.cache_clear()
         calls[0] = 0
+        asked.clear()
         fn(*args)
         return calls[0]
 
@@ -141,11 +156,15 @@ def test_only_graph_outputs_build_a_directed_graph(monkeypatch):
         (_full_pair_subshift_present, free, "a", "b", 6),
         (boost_entropy_pipeline, free, "a", "b", 1),
     ]
+    grown = 0
     for fn, *args in reads:
         assert built(fn, *args) == 0, fn.__name__
-    assert built(sft_to_edge_shift, x) == 1
-    assert built(sft_presentation, x) == 1
-    calls[0] = 0
-    sft_to_edge_shift(x)
-    sft_presentation(x)
-    assert calls[0] == 0
+        assert all(m == n for m, n in asked), (fn.__name__, asked)
+        grown += len(asked)
+    assert grown >= len(reads)
+    for fn in (sft_to_edge_shift, sft_presentation):
+        assert built(fn, x) == 1 and asked == [(2, 2), (2, 3)], fn.__name__
+        calls[0] = 0
+        asked.clear()
+        fn(x)
+        assert calls[0] == 1 and asked == [(2, 3)], fn.__name__

@@ -9,17 +9,36 @@ of sofic shifts", Israel J. Math. 225, 2018), so every `equivalent`
 verdict needs equal signed Bowen-Franks groups of the two covers; the
 converse does not hold.
 
+Type and entropy are read off the presentation layer too: a sofic shift
+is of finite type iff its Fischer cover has finite memory (Lind and
+Marcus, section 3.4), and the entropy of a gap shift is log2 of the root
+lambda > 1 of sum over k in S of lambda^-(k+1) = 1 (Dastjerdi and
+Jangjoo, "Dynamics and topology of S-gap shifts", Topology Appl. 159,
+2012).
+
 Seeds and sizes are fixed: 50 finite-type sets (1,275 pairs) and 120
-strictly sofic sets (7,140 pairs), about 2 s together on a 2-core VM.
+strictly sofic sets (7,140 pairs), about 2 s together on a 2-core VM,
+and 300 mixed exact sets for type and entropy.
 """
 
 from __future__ import annotations
 
 import random
+from math import log2
 
 import pytest
 
-from shiftflow import PreconditionError, bowen_franks, franks_decide, minimal_right_resolving, sft, sft_to_edge_shift
+from shiftflow import (
+    PreconditionError,
+    bowen_franks,
+    franks_decide,
+    minimal_right_resolving,
+    perron_entropy,
+    sft,
+    sft_to_edge_shift,
+    sofic_entropy,
+)
+from shiftflow.graphs import _essential
 from shiftflow.invariants import is_single_orbit
 from shiftflow.presentations import focus_set
 from shiftflow.sgap import EventuallyPeriodicGaps, FiniteGaps, classify_type, fe_equal, forbidden_words
@@ -114,3 +133,75 @@ def test_gap_shift_presentation_reads_the_gap_language():
         else:
             with pytest.raises(PreconditionError):
                 focus_set(lg, word)
+
+
+def _has_finite_memory(lg) -> bool:
+    """Whether a right-resolving presentation has finite memory: the
+    graph on pairs (p, q), p != q, of its states, joined when both read
+    the same label to distinct states, has an empty essential part."""
+    n = len(lg._rows)
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    at = {pq: i for i, pq in enumerate(pairs)}
+    src, dst = [], []
+    for i, (p, q) in enumerate(pairs):
+        for a, p2 in lg._rows[p]:
+            for b, q2 in lg._rows[q]:
+                if a == b and p2 != q2:
+                    src.append(i)
+                    dst.append(at[p2, q2])
+    return not _essential(len(pairs), src, dst)
+
+
+def _gap_entropy(s) -> float:
+    """log2 of the root lambda of sum over k in S of lambda^-(k+1) = 1,
+    by bisection on (1, 2]; a tail offset t sums in closed form as
+    lambda^-(t+1) / (1 - lambda^-N).  0 when S has one element."""
+    if isinstance(s, FiniteGaps):
+        sporadic, offsets, period = set(s.elements), set(), 1
+    else:
+        period = s.N
+        offsets = {t for t in s.T if not any(u < t and (t - u) % period == 0 for u in s.T)}
+        sporadic = {r for r in s.R if not any(r >= t and (r - t) % period == 0 for t in offsets)}
+
+    def excess(lam: float) -> float:
+        tail = sum(lam ** -(t + 1) for t in offsets) / (1 - lam**-period) if offsets else 0.0
+        return sum(lam ** -(k + 1) for k in sporadic) + tail - 1
+
+    lo, hi = 1.0, 2.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return log2(hi)
+
+
+def _exact_sets(rng: random.Random, count: int) -> list:
+    """Finite gap sets from 0..8 and eventually periodic ones with period
+    1-4, sporadic elements from 0..7 and one or more offsets from 0..8."""
+    sets = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            sets.append(FiniteGaps(tuple(rng.sample(range(9), rng.randint(1, 4)))))
+        else:
+            period = rng.randint(1, 4)
+            sporadic = tuple(rng.sample(range(8), rng.randint(0, 3)))
+            sets.append(EventuallyPeriodicGaps(sporadic, tuple(rng.sample(range(9), rng.randint(1, 3))), period))
+    return sets
+
+
+def test_type_and_entropy_match_the_fischer_cover():
+    """`classify_type` says finite type exactly when the Fischer cover of
+    the oracle presentation has finite memory, and `sofic_entropy` of the
+    presentation is log2 of the root of the gap series; on finite-type
+    sets so is the Perron entropy of the edge shift of their forbidden
+    words."""
+    kinds = {"finite_type": 0, "strictly_sofic": 0}
+    for s in _exact_sets(random.Random(13), 300):
+        lg = gap_shift_presentation(s)
+        kind = classify_type(s).kind
+        assert (kind == "finite_type") == _has_finite_memory(minimal_right_resolving(lg)), s
+        kinds[kind] += 1
+        want = _gap_entropy(s)
+        assert abs(sofic_entropy(lg).value - want) < 1e-11, s
+        if kind == "finite_type":
+            assert abs(perron_entropy(_edge_shift_matrix(s)).value - want) < 1e-11, s
+    assert min(kinds.values()) > 80, kinds

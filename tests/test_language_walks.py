@@ -5,6 +5,7 @@ rows.  Also the bound on `enumerate_language` and the cached step."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import random
@@ -27,7 +28,7 @@ from shiftflow import (
 )
 from shiftflow.cli import main
 from shiftflow.graphs import _adjacency_rows, _walks
-from shiftflow.sft import MAX_CANDIDATES, ForbiddenSetSFT, _edge_shift, _short_words
+from shiftflow.sft import MAX_CANDIDATES, EdgeShiftData, ForbiddenSetSFT, _edge_shift, _short_words
 
 from .oracles import contains_word_by_windows, edge_shift_by_words, short_words_by_windows, walks_by_generators
 
@@ -112,7 +113,7 @@ def test_short_words_and_counts_match_the_oracles():
         for n in range(1, x.step + 1):
             assert _short_words(data, n) == short_words_by_windows(data, n)
             assert language_count(x, n) == len(short_words_by_windows(data, n))
-        rows = data.graph.sparse_adjacency()
+        rows = sft_to_edge_shift(x)[0].sparse_adjacency()
         for k, (got, want) in enumerate(zip(_walks(rows), islice(walks_by_generators(rows), 13))):
             assert got == want
             if k:
@@ -134,19 +135,22 @@ def test_walks_match_the_generator_oracle_on_matrices():
     assert fib[2] == [10**24 + 10**12 + 1, 10**12 + 1]
 
 
-def test_edge_shift_data_equality_ignores_the_automaton():
-    """Equality and hash read the words and vertices: not the automaton
-    or its rows, which they determine, nor the views built on first use."""
+def test_edge_shift_data_equality_reads_vertices_and_delta():
+    """The automaton's only fields are its vertices and `delta`.  Equality
+    reads both, not the `index` and `rows` derived from them on first use;
+    the hash reads the vertices."""
+    assert [f.name for f in dataclasses.fields(EdgeShiftData)] == ["vertices", "delta"]
     x = sft(["a", "b", "c"], ["cc", "aba"])
     _edge_shift.cache_clear()
-    data, want = _edge_shift(x), edge_shift_by_words(x)
-    assert "graph" not in vars(data) and "graph" in vars(want)
+    data, (want, graph, _) = _edge_shift(x), edge_shift_by_words(x)
     assert data == want and hash(data) == hash(want)
     index, rows = data.index, data.rows
+    assert "rows" in vars(data) and "rows" not in vars(want)
     assert data == want and hash(data) == hash(want)
-    assert data.delta == want.delta
-    assert len(index) == len(data.delta) == len(rows) == len(data.graph.vertices)
-    assert sum(map(len, data.delta)) == len(data.graph.edges)
+    assert len(index) == len(data.delta) == len(rows) == len(graph.vertices)
+    assert sum(map(len, data.delta)) == len(graph.edges)
+    other = sft(["a", "b", "c"], ["cc", "abb"])
+    assert _edge_shift(other).vertices == data.vertices and _edge_shift(other) != data
 
 
 def test_step_is_computed_once_and_leaves_equality_alone():

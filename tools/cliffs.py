@@ -50,6 +50,15 @@ CLIFFS = {
         "x = sft('abc', ['c' * 12])\n",
         "language_count(x, 21)",
     ),
+    # A second graph output on the same shift: the edge shift keeps no
+    # (m+1)-words and no graph, so the 3^10 - 1 words of this step-9
+    # shift are grown again for the edge ids and labels.
+    "presentation_c10_warm": (
+        "from shiftflow import sft, sft_presentation\n"
+        "x = sft('abc', ['c' * 10])\n"
+        "sft_presentation(x)\n",
+        "sft_presentation(x)",
+    ),
     # The target-1 boost past an 8-symbol forbidden word: the precondition
     # reads the step-7 automaton (3^8 - 1 words), then two word contractions.
     "boost_c8_target1": (
