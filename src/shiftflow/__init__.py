@@ -1,5 +1,7 @@
 """Shift spaces, flow-equivalence invariants, and the moves between them."""
 
+from types import ModuleType as _ModuleType
+
 from .entropy import (
     EntropyEstimate,
     boost_entropy_construction,
@@ -87,84 +89,6 @@ from .sgap import (
 )
 from .words import Alphabet, PeriodicOrbit, Word
 
-__all__ = [
-    "Alphabet",
-    "Classification",
-    "DirectedGraph",
-    "Edge",
-    "EntropyEstimate",
-    "EventuallyPeriodicGaps",
-    "FEVerdict",
-    "FiniteGaps",
-    "ForbiddenSetSFT",
-    "FullShift",
-    "InvalidInput",
-    "LabeledGraph",
-    "MovePipeline",
-    "NonConvergenceError",
-    "PartialBlockMapError",
-    "PeriodicOrbit",
-    "PreconditionError",
-    "Recode",
-    "SGapSet",
-    "SampledGaps",
-    "ShiftSpaceError",
-    "SignedBFGroup",
-    "SmithDecomposition",
-    "SoficTag",
-    "SymbolContraction",
-    "SymbolExpansion",
-    "Word",
-    "WordContraction",
-    "admits_nontrivial_overlaps",
-    "apply_block_map",
-    "boost_entropy_construction",
-    "boost_entropy_pipeline",
-    "bowen_franks",
-    "classify_type",
-    "contains_word",
-    "deciding_length_bound",
-    "detect_eventual_periodicity",
-    "determinant",
-    "determinize",
-    "enumerate_language",
-    "entropy_word_count",
-    "essentialize",
-    "expansion_move",
-    "extend_to_synchronizing",
-    "fe_equal",
-    "fe_invariant",
-    "focus_set",
-    "follower_table",
-    "forbidden_words",
-    "franks_decide",
-    "from_adjacency",
-    "full_shift",
-    "is_empty",
-    "is_irreducible",
-    "is_nonoverlapping",
-    "is_right_resolving",
-    "labeled_graph",
-    "language_count",
-    "minimal_form",
-    "minimal_right_resolving",
-    "path_count",
-    "perron_entropy",
-    "pipeline_apply_periodic",
-    "pipeline_apply_word",
-    "recode",
-    "scale_entropy_construction",
-    "scc_decompose",
-    "sft",
-    "sft_presentation",
-    "sft_to_edge_shift",
-    "shift_set",
-    "simplify",
-    "smith_normal_form",
-    "sofic_entropy",
-    "symbol_contract",
-    "symbol_expand",
-    "to_m_step",
-    "verify_elementary_equivalence",
-    "word_contract",
-]
+# Every public name the imports above bind, without the submodules they
+# bind as a side effect.
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -3,13 +3,15 @@
 Parsers validate as they go and raise InvalidInput with a path into the
 document (like `edges[3].to`), so command-line users get exact error
 locations.  Serializers are deterministic: fixed key order, compact
-separators, no ASCII escaping.
+separators, no ASCII escaping.  Each input format, move op and gap-set
+kind is declared once, in a table that detection, parsing and writing
+all read.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .entropy import EntropyEstimate
 from .errors import InvalidInput
@@ -52,6 +54,13 @@ def _expect_object(value: Any, path: str, keys: set[str]) -> dict:
 def _expect_symbol(value: Any, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise _fail(path, "expected a non-empty symbol string")
+    return value
+
+
+def _expect_int(value: Any, path: str, message: str, least: int | None = None) -> int:
+    """An integer that is not a bool and, given `least`, not below it."""
+    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+        raise _fail(path, message)
     return value
 
 
@@ -108,12 +117,7 @@ def parse_matrix(doc: Any) -> list[list[int]]:
     out: list[list[int]] = []
     for i, row in enumerate(rows):
         row = _expect_list(row, f"[{i}]")
-        entries: list[int] = []
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise _fail(f"[{i}][{j}]", "expected an integer entry")
-            entries.append(v)
-        out.append(entries)
+        out.append([_expect_int(v, f"[{i}][{j}]", "expected an integer entry") for j, v in enumerate(row)])
     if any(len(r) != len(rows) for r in out):
         raise _fail("", "matrix must be square")
     return out
@@ -196,6 +200,75 @@ def _parse_block_table(value: Any, path: str) -> dict[Word, str]:
     return table
 
 
+def _int_list(value: Any, path: str) -> list[int]:
+    out: list[int] = []
+    for i, v in enumerate(_expect_list(value, path)):
+        if _expect_int(v, f"{path}[{i}]", "expected an integer") < 0:
+            raise _fail(f"{path}[{i}]", f"negative value {v}")
+        out.append(v)
+    if out != sorted(set(out)):
+        raise _fail(path, "must be strictly increasing")
+    return out
+
+
+# How each key of a move or a gap set is read from JSON, and written.
+_KEYS = {
+    "symbol": (_expect_symbol, str),
+    "removed": (_expect_symbol, str),
+    "word": (parse_word, word_json),
+    "table": (_parse_block_table, lambda table: [[word_json(u), s] for u, s in table]),
+    "window": (lambda v, path: _expect_int(v, path, "expected a positive integer", 1), int),
+    "elements": (_int_list, list),
+    "R": (_int_list, list),
+    "T": (_int_list, list),
+    "N": (lambda v, path: _expect_int(v, path, "expected a positive integer period", 1), int),
+    "members": (_int_list, list),
+    "bound": (lambda v, path: _expect_int(v, path, "expected a nonnegative integer", 0), int),
+}
+
+# Each move op: its move class and its keys, in the order that output
+# writes them and that the `MovePipeline` method named like the op
+# takes them.
+_MOVES = {
+    "expand": (SymbolExpansion, ("symbol",)),
+    "contract": (SymbolContraction, ("symbol", "removed")),
+    "word_contract": (WordContraction, ("word",)),
+    "recode": (Recode, ("table", "window")),
+}
+
+# Each gap-set kind: its class, its keys in the order that output writes
+# them and the class takes them, and the name its missing-key message uses.
+_GAP_KINDS = {
+    "finite": (FiniteGaps, ("elements",), "a finite gap set"),
+    "eventually_periodic": (EventuallyPeriodicGaps, ("R", "T", "N"), "an eventually periodic gap set"),
+    "sampled": (SampledGaps, ("members", "bound"), "a sampled gap set"),
+}
+
+
+def _read_tagged(
+    value: Any, path: str, tag: str, rows: dict, what: str, needs: Callable[[str, str], str]
+) -> tuple[str, list]:
+    """An object whose `tag` key names a row of `rows`: that name, and the
+    values of the row's keys in row order.  `needs(name, key)` is the
+    message for a missing key."""
+    pre = f"{path}." if path else ""
+    obj = _expect_object(value, path, {tag}.union(*(row[1] for row in rows.values())))
+    name = obj.get(tag)
+    if not isinstance(name, str) or name not in rows:
+        raise _fail(f"{pre}{tag}", f"unknown {what} {name!r}")
+    keys = rows[name][1]
+    for key in keys:
+        if key not in obj:
+            raise _fail(path, needs(name, key))
+    return name, [_KEYS[key][0](obj[key], f"{pre}{key}") for key in keys]
+
+
+def _write_tagged(value: Any, tag: str, rows: dict) -> dict:
+    """The JSON object of a move or gap set: its row name under `tag`, then its keys."""
+    name = {row[0]: name for name, row in rows.items()}[type(value)]
+    return {tag: name, **{key: _KEYS[key][1](getattr(value, key)) for key in rows[name][1]}}
+
+
 def parse_pipeline(doc: Any) -> MovePipeline:
     """A pipeline document: a source SFT plus a list of move commands.
 
@@ -209,103 +282,24 @@ def parse_pipeline(doc: Any) -> MovePipeline:
         raise _fail("", "a pipeline needs a \"moves\" array")
     pipe = MovePipeline.start(parse_sft(obj["source"], "source"))
     for i, mv in enumerate(_expect_list(obj["moves"], "moves")):
-        mpath = f"moves[{i}]"
-        move = _expect_object(mv, mpath, {"op", "symbol", "removed", "word", "table", "window"})
-        op = move.get("op")
-        if op == "expand":
-            pipe = pipe.expand(_expect_symbol(move.get("symbol"), f"{mpath}.symbol"))
-        elif op == "contract":
-            pipe = pipe.contract(
-                _expect_symbol(move.get("symbol"), f"{mpath}.symbol"),
-                _expect_symbol(move.get("removed"), f"{mpath}.removed"),
-            )
-        elif op == "word_contract":
-            if "word" not in move:
-                raise _fail(mpath, "word_contract needs a \"word\"")
-            pipe = pipe.word_contract(parse_word(move["word"], f"{mpath}.word"))
-        elif op == "recode":
-            if "table" not in move or "window" not in move:
-                raise _fail(mpath, "recode needs \"table\" and \"window\"")
-            window = move["window"]
-            if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-                raise _fail(f"{mpath}.window", "expected a positive integer")
-            pipe = pipe.recode(_parse_block_table(move["table"], f"{mpath}.table"), window)
-        else:
-            raise _fail(f"{mpath}.op", f"unknown move {op!r}")
+        op, values = _read_tagged(mv, f"moves[{i}]", "op", _MOVES, "move", lambda op, key: f'{op} needs a "{key}"')
+        pipe = getattr(pipe, op)(*values)
     return pipe
 
 
 def pipeline_json(pipe: MovePipeline) -> dict:
-    moves = []
-    for mv in pipe.moves:
-        if isinstance(mv, SymbolExpansion):
-            moves.append({"op": "expand", "symbol": mv.symbol})
-        elif isinstance(mv, SymbolContraction):
-            moves.append({"op": "contract", "symbol": mv.symbol, "removed": mv.removed})
-        elif isinstance(mv, WordContraction):
-            moves.append({"op": "word_contract", "word": word_json(mv.word)})
-        elif isinstance(mv, Recode):
-            moves.append(
-                {
-                    "op": "recode",
-                    "table": [[word_json(u), s] for u, s in mv.table],
-                    "window": mv.window,
-                }
-            )
-        else:
-            raise InvalidInput(f"unknown move {mv!r}")
-    return {"source": sft_json(pipe.source), "moves": moves}
-
-
-def _int_list(value: Any, path: str) -> list[int]:
-    out: list[int] = []
-    for i, v in enumerate(_expect_list(value, path)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise _fail(f"{path}[{i}]", "expected an integer")
-        if v < 0:
-            raise _fail(f"{path}[{i}]", f"negative value {v}")
-        out.append(v)
-    if out != sorted(set(out)):
-        raise _fail(path, "must be strictly increasing")
-    return out
+    return {"source": sft_json(pipe.source), "moves": [_write_tagged(mv, "op", _MOVES) for mv in pipe.moves]}
 
 
 def parse_sgap(doc: Any) -> SGapSet:
-    obj = _expect_object(doc, "", {"kind", "elements", "R", "T", "N", "members", "bound"})
-    kind = obj.get("kind")
-    if kind == "finite":
-        if "elements" not in obj:
-            raise _fail("", "a finite gap set needs \"elements\"")
-        return FiniteGaps(tuple(_int_list(obj["elements"], "elements")))
-    if kind == "eventually_periodic":
-        for key in ("R", "T", "N"):
-            if key not in obj:
-                raise _fail("", f"an eventually periodic gap set needs \"{key}\"")
-        n = obj["N"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise _fail("N", "expected a positive integer period")
-        return EventuallyPeriodicGaps(
-            tuple(_int_list(obj["R"], "R")),
-            tuple(_int_list(obj["T"], "T")),
-            n,
-        )
-    if kind == "sampled":
-        for key in ("members", "bound"):
-            if key not in obj:
-                raise _fail("", f"a sampled gap set needs \"{key}\"")
-        bound = obj["bound"]
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
-            raise _fail("bound", "expected a nonnegative integer")
-        return SampledGaps(tuple(_int_list(obj["members"], "members")), bound)
-    raise _fail("kind", f"unknown kind {kind!r}")
+    kind, values = _read_tagged(
+        doc, "", "kind", _GAP_KINDS, "kind", lambda kind, key: f'{_GAP_KINDS[kind][2]} needs "{key}"'
+    )
+    return _GAP_KINDS[kind][0](*values)
 
 
 def sgap_json(s: SGapSet) -> dict:
-    if isinstance(s, FiniteGaps):
-        return {"kind": "finite", "elements": list(s.elements)}
-    if isinstance(s, EventuallyPeriodicGaps):
-        return {"kind": "eventually_periodic", "R": list(s.R), "T": list(s.T), "N": s.N}
-    return {"kind": "sampled", "members": list(s.members), "bound": s.bound}
+    return _write_tagged(s, "kind", _GAP_KINDS)
 
 
 def bf_json(group: SignedBFGroup) -> dict:
@@ -339,34 +333,28 @@ def verdict_json(v: FEVerdict) -> dict:
     return out
 
 
+# Each input format in detection order: the keys that mark an object as
+# that format (None: a top-level array), and its parser.
 _PARSERS = {
-    "sft": parse_sft,
-    "graph": parse_graph,
-    "adjacency": parse_adjacency,
-    "pipeline": parse_pipeline,
-    "sgap": parse_sgap,
+    "adjacency": (None, parse_adjacency),
+    "sgap": ({"kind"}, parse_sgap),
+    "pipeline": ({"moves", "source"}, parse_pipeline),
+    "sft": ({"alphabet", "forbidden"}, parse_sft),
+    "graph": ({"vertices", "edges"}, parse_graph),
 }
 
 
 def detect_kind(doc: Any) -> str:
     """Which format a decoded JSON document is shaped like."""
-    if isinstance(doc, list):
-        return "adjacency"
-    if isinstance(doc, dict):
-        if "kind" in doc:
-            return "sgap"
-        if "moves" in doc or "source" in doc:
-            return "pipeline"
-        if "alphabet" in doc or "forbidden" in doc:
-            return "sft"
-        if "vertices" in doc or "edges" in doc:
-            return "graph"
+    for kind, (keys, _) in _PARSERS.items():
+        if isinstance(doc, list) if keys is None else isinstance(doc, dict) and not keys.isdisjoint(doc):
+            return kind
     raise InvalidInput("document matches no known input format")
 
 
 def parse_any(doc: Any) -> tuple[str, Any]:
     kind = detect_kind(doc)
-    parsed = _PARSERS[kind](doc)
+    parsed = _PARSERS[kind][1](doc)
     if kind == "graph" and isinstance(parsed, LabeledGraph):
         return "labeled_graph", parsed
     return kind, parsed
