@@ -249,14 +249,16 @@ def _read_tagged(
     value: Any, path: str, tag: str, rows: dict, what: str, needs: Callable[[str, str], str]
 ) -> tuple[str, list]:
     """An object whose `tag` key names a row of `rows`: that name, and the
-    values of the row's keys in row order.  `needs(name, key)` is the
-    message for a missing key."""
+    values of the row's keys in row order.  Besides the tag the object
+    holds only that row's keys; one that no row has is reported before
+    the tag is read.  `needs(name, key)` is the message for a missing key."""
     pre = f"{path}." if path else ""
     obj = _expect_object(value, path, {tag}.union(*(row[1] for row in rows.values())))
     name = obj.get(tag)
     if not isinstance(name, str) or name not in rows:
         raise _fail(f"{pre}{tag}", f"unknown {what} {name!r}")
     keys = rows[name][1]
+    _expect_object(obj, path, {tag, *keys})
     for key in keys:
         if key not in obj:
             raise _fail(path, needs(name, key))

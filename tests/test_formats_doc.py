@@ -56,6 +56,7 @@ RUNS = [
     (["validate", '{"kind":"weird"}'], {}, ["error: kind: unknown kind 'weird'"]),
     (["validate", '{"kind":"eventually_periodic","R":[],"T":[0],"N":0}'], {},
      ["error: N: expected a positive integer period"]),
+    (["sgap", "classify", '{"kind":"finite","elements":[0,2],"T":[1],"N":2}'], {}, ["error: document: unknown key 'N'"]),
     (["validate", "{}"], {}, ["error: document matches no known input format"]),
     (["validate", GM], {}, ['{"valid":true,"kind":"sft"}']),
     (["validate", '{"vertices":["a"],"edges":[{"from":"a","to":"a","label":"x"}]}'], {},

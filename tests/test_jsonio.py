@@ -167,6 +167,19 @@ def test_pipeline_errors():
             {"source": {"alphabet": ["0"], "forbidden": []}, "moves": [{"op": "zap"}]}
         )
     assert str(err.value) == "moves[0].op: unknown move 'zap'"
+    # Each op allows only its own keys: another op's key is refused, not
+    # dropped, and a key no op has is reported before the op is read.
+    source = {"alphabet": ["0", "1"], "forbidden": []}
+    for moves, message in [
+        ([{"op": "expand", "symbol": "0", "word": "01"}], "moves[0]: unknown key 'word'"),
+        ([{"op": "expand", "symbol": "0"}, {"op": "recode", "table": {}, "window": 1, "symbol": "0"}],
+         "moves[1]: unknown key 'symbol'"),
+        ([{"op": "zap", "color": 1}], "moves[0]: unknown key 'color'"),
+        ([{"op": ["x"]}], "moves[0].op: unknown move ['x']"),
+    ]:
+        with pytest.raises(InvalidInput) as err:
+            parse_pipeline({"source": source, "moves": moves})
+        assert str(err.value) == message
 
 
 def test_sgap_round_trips():
@@ -192,6 +205,15 @@ def test_sgap_errors():
     with pytest.raises(InvalidInput) as err:
         parse_sgap({"kind": "weird"})
     assert str(err.value) == "kind: unknown kind 'weird'"
+    for doc, message in [
+        ({"kind": "finite", "elements": [0, 2], "T": [1], "N": 2}, "document: unknown key 'N'"),
+        ({"kind": "eventually_periodic", "R": [], "T": [0], "N": 2, "bound": 9}, "document: unknown key 'bound'"),
+        ({"kind": "sampled", "members": [0], "bound": 3, "elements": [0]}, "document: unknown key 'elements'"),
+        ({"kind": "weird", "color": 1}, "document: unknown key 'color'"),
+    ]:
+        with pytest.raises(InvalidInput) as err:
+            parse_sgap(doc)
+        assert str(err.value) == message
 
 
 def test_result_payloads():
