@@ -8,11 +8,11 @@ from math import log2
 from operator import add, mul, truediv
 from typing import Sequence
 
-from .errors import InvalidInput, NonConvergenceError
+from .errors import InvalidInput, NonConvergenceError, PreconditionError
 from .graphs import DirectedGraph, _adjacency_rows, _components, _index_rows, _walks, from_adjacency
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, _subset_automaton
-from .sft import ForbiddenSetSFT, _edge_graph, _edge_shift, _short_words, language_count
+from .sft import MAX_CANDIDATES, ForbiddenSetSFT, _edge_graph, _edge_shift, _short_words, language_count
 from .words import Word
 
 
@@ -162,9 +162,16 @@ def sofic_entropy(lg: LabeledGraph, tol: float = 1e-12, max_iterations: int = 10
 
 
 def scale_entropy_construction(obj, n: int) -> DirectedGraph:
-    """Replace every edge by a path of n edges; entropy divides by n."""
+    """Replace every edge by a path of n edges; entropy divides by n.
+
+    The result has V + E (n - 1) vertices; more than `MAX_CANDIDATES` is
+    refused with `PreconditionError` before any graph is built."""
     if n < 1:
         raise InvalidInput("need n >= 1")
+    rows = _rows(obj)
+    count = len(rows) + sum(c for row in rows for _, c in row) * (n - 1)
+    if count > MAX_CANDIDATES:
+        raise PreconditionError(f"scaling by {n} gives {count} vertices, above the limit {MAX_CANDIDATES}")
     graph = _as_graph(obj)
     if n == 1:
         return graph

@@ -73,7 +73,9 @@ FAR = '{"kind":"eventually_periodic","R":[],"T":[%d],"N":2}'
 # Hard inputs: each answers, or exits 2 with its message, within a second.
 # Forbidding c^13 over {a, b, c} asks for the 3^13 candidate words of
 # length 13: without the limit, `language enum` took 32 s to list 9 words
-# and c^15 ran out of memory.  The translation by one of an offset at
+# and c^15 ran out of memory.  Scaling [[2]] by n builds 2n - 1 vertices:
+# n = 10^5 took 0.9 s and 116 MiB, so n = 10^7 would need about 11 GiB.
+# The translation by one of an offset at
 # 100,000 scanned every translation up to the span and took 6 to 9 s.
 HARD_INPUTS = {
     "language-enum-c13": (["language", "enum", "--n", "2", _forbidding_c(13)], 2, "", TOO_MANY),
@@ -81,6 +83,12 @@ HARD_INPUTS = {
     "graph-edge-shift-c13": (["graph", "edge-shift", _forbidding_c(13)], 2, "", TOO_MANY),
     "entropy-c13": (["entropy", _forbidding_c(13)], 2, "", TOO_MANY),
     "construct-boost-c13": (["construct", "boost", "--target", "1", _forbidding_c(13)], 2, "", TOO_MANY),
+    "construct-scale-n10000000": (
+        ["construct", "scale", "--n", "10000000", "[[2]]"],
+        2,
+        "",
+        "error: scaling by 10000000 gives 19999999 vertices, above the limit 1048576\n",
+    ),
     "sgap-fe-equal-far-100000": (
         ["sgap", "fe-equal", FAR % 100_000, FAR % 100_001],
         0,

@@ -80,6 +80,8 @@ RUNS = [
     (["construct", "scale", "--n", "2", "[[2]]"], {},
      ['{"vertices":["0","e0.1","e1.1"],"edges":[{"from":"0","to":"e0.1"},{"from":"e0.1","to":"0"},'
       '{"from":"0","to":"e1.1"},{"from":"e1.1","to":"0"}]}']),
+    (["construct", "scale", "--n", "524289", "[[2]]"], {},
+     ["error: scaling by 524289 gives 1048577 vertices, above the limit 1048576"]),
     (["construct", "boost", "--target", "1", '{"alphabet":["a","b"],"forbidden":[]}'], {},
      ['{"result":{"alphabet":["a","b","◇","◇2"],"forbidden":["ba",["◇2","a"]]},'
       '"moves":[{"op":"word_contract","word":"baa"},{"op":"word_contract","word":"ba"}]}']),
