@@ -47,7 +47,7 @@ from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
 from shiftflow.errors import InvalidInput, NonConvergenceError, PartialBlockMapError, PreconditionError
-from shiftflow.graphs import DirectedGraph, Edge, Vertex, _walks, from_adjacency, path_count
+from shiftflow.graphs import DirectedGraph, Edge, Vertex, _essential, _walks, from_adjacency, path_count
 from shiftflow.invariants import (
     Matrix,
     SignedBFGroup,
@@ -1202,6 +1202,23 @@ def finite_gap_shift_presentation(s: FiniteGaps) -> LabeledGraph:
     top = max(s.elements)
     arcs = [(k, k + 1, "0") for k in range(top)] + [(k, 0, "1") for k in s.elements]
     return labeled_graph(range(top + 1), arcs)
+
+
+def has_finite_memory(lg: LabeledGraph) -> bool:
+    """Whether a right-resolving presentation has finite memory: the
+    graph on pairs (p, q), p != q, of its states, joined when both read
+    the same label to distinct states, has an empty essential part."""
+    n = len(lg._rows)
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    at = {pq: i for i, pq in enumerate(pairs)}
+    src, dst = [], []
+    for i, (p, q) in enumerate(pairs):
+        for a, p2 in lg._rows[p]:
+            for b, q2 in lg._rows[q]:
+                if a == b and p2 != q2:
+                    src.append(i)
+                    dst.append(at[p2, q2])
+    return not _essential(len(pairs), src, dst)
 
 
 def essential_part_by_rescanning(graph: DirectedGraph) -> DirectedGraph:

@@ -38,12 +38,11 @@ from shiftflow import (
     sft_to_edge_shift,
     sofic_entropy,
 )
-from shiftflow.graphs import _essential
 from shiftflow.invariants import is_single_orbit
 from shiftflow.presentations import focus_set
 from shiftflow.sgap import EventuallyPeriodicGaps, FiniteGaps, classify_type, fe_equal, forbidden_words
 
-from .oracles import gap_shift_presentation
+from .oracles import gap_shift_presentation, has_finite_memory
 
 
 def _finite_type_sets(rng: random.Random, count: int) -> list:
@@ -135,23 +134,6 @@ def test_gap_shift_presentation_reads_the_gap_language():
                 focus_set(lg, word)
 
 
-def _has_finite_memory(lg) -> bool:
-    """Whether a right-resolving presentation has finite memory: the
-    graph on pairs (p, q), p != q, of its states, joined when both read
-    the same label to distinct states, has an empty essential part."""
-    n = len(lg._rows)
-    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
-    at = {pq: i for i, pq in enumerate(pairs)}
-    src, dst = [], []
-    for i, (p, q) in enumerate(pairs):
-        for a, p2 in lg._rows[p]:
-            for b, q2 in lg._rows[q]:
-                if a == b and p2 != q2:
-                    src.append(i)
-                    dst.append(at[p2, q2])
-    return not _essential(len(pairs), src, dst)
-
-
 def _gap_entropy(s) -> float:
     """log2 of the root lambda of sum over k in S of lambda^-(k+1) = 1,
     by bisection on (1, 2]; a tail offset t sums in closed form as
@@ -198,7 +180,7 @@ def test_type_and_entropy_match_the_fischer_cover():
     for s in _exact_sets(random.Random(13), 300):
         lg = gap_shift_presentation(s)
         kind = classify_type(s).kind
-        assert (kind == "finite_type") == _has_finite_memory(minimal_right_resolving(lg)), s
+        assert (kind == "finite_type") == has_finite_memory(minimal_right_resolving(lg)), s
         kinds[kind] += 1
         want = _gap_entropy(s)
         assert abs(sofic_entropy(lg).value - want) < 1e-11, s

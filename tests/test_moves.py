@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -11,15 +12,18 @@ from shiftflow import (
     PreconditionError,
     Word,
     admits_nontrivial_overlaps,
+    boost_entropy_pipeline,
     bowen_franks,
     contains_word,
     deciding_length_bound,
     enumerate_language,
+    franks_decide,
     full_shift,
     is_empty,
     is_irreducible,
     is_nonoverlapping,
     language_count,
+    minimal_right_resolving,
     perron_entropy,
     pipeline_apply_periodic,
     pipeline_apply_word,
@@ -36,7 +40,7 @@ from shiftflow import (
 from shiftflow import moves
 from shiftflow.jsonio import dumps, sft_json
 
-from .oracles import minimize_by_counting, slices_by_all_factors, word_contraction_language
+from .oracles import has_finite_memory, minimize_by_counting, slices_by_all_factors, word_contraction_language
 
 GOLDEN_MEAN = sft(["0", "1"], ["11"])
 # gap lengths 1 or 2 between consecutive 1s
@@ -526,6 +530,48 @@ def test_moves_preserve_signed_bowen_franks_group():
             multi += any(len(s) > 1 for s in x.alphabet)
             fresh += isinstance(mv, moves.SymbolExpansion) and len(mv.symbol) > 1
     assert moved > 300 and recoded > 40 and multi > 100 and fresh > 20
+
+
+def test_boost_stages_keep_the_fischer_cover_group():
+    """Every stage of the entropy boosts, certified on its Fischer cover.
+
+    An irreducible SFT's Fischer cover has finite memory, so its label
+    map is a conjugacy and the cover's matrix carries the shift's signed
+    Bowen-Franks group (Lind and Marcus, section 3.4).  Covers have a few
+    states where the edge shifts have hundreds to thousands of vertices;
+    an edge shift is compared with its cover up to 300 vertices.  The
+    pipelines are the boosts to targets 1 and 2 of the full 2-shift and
+    of {a, b, c} forbidding c^4, and the acceptance file's iterated
+    boosts.  Budget, fixed before the first run: 10 s."""
+    start = time.perf_counter()
+    full2 = boost_entropy_pipeline(full_shift(["a", "b"]), "a", "b", 1)
+    full2_target2 = boost_entropy_pipeline(full_shift(["a", "b"]), "a", "b", 2)
+    twice = boost_entropy_pipeline(full2.result, "◇2", "◇", 1)
+    pipelines = [
+        full2,
+        full2_target2,
+        boost_entropy_pipeline(sft("abc", ["cccc"]), "a", "b", 1),
+        boost_entropy_pipeline(sft("abc", ["cccc"]), "a", "b", 2),
+        twice,
+        boost_entropy_pipeline(twice.result, "◇4", "◇3", 1),
+        boost_entropy_pipeline(full2_target2.result, "◇4", "◇3", 1),
+    ]
+    compared = 0
+    for pipe in pipelines:
+        source = minimal_right_resolving(sft_presentation(pipe.source)).graph.adjacency_matrix()
+        for z in pipe.stages:
+            cover = minimal_right_resolving(sft_presentation(z))
+            matrix = cover.graph.adjacency_matrix()
+            assert has_finite_memory(cover), pipe.moves
+            assert bowen_franks(matrix) == bowen_franks(source), pipe.moves
+            assert franks_decide(matrix, source), pipe.moves
+            graph, _ = sft_to_edge_shift(z)
+            if len(graph.vertices) <= 300:
+                assert bowen_franks(graph.adjacency_matrix()) == bowen_franks(matrix), pipe.moves
+                compared += 1
+    # 18 moves, 25 stages; every edge shift has at most 287 vertices.
+    assert (sum(len(pipe.moves) for pipe in pipelines), compared) == (18, 25)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_sofic_entropy_of_sft_presentation_equals_perron_entropy():
