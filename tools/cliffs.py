@@ -88,6 +88,36 @@ CLIFFS = {
         "g = scale_entropy_construction([[2]], 200)\n",
         "perron_entropy(g)",
     ),
+    # The same at n = 1000: 2,001 vertices.
+    "scale_1000_perron": (
+        "from shiftflow import perron_entropy, scale_entropy_construction\n"
+        "g = scale_entropy_construction([[2]], 1000)\n",
+        "perron_entropy(g)",
+    ),
+    # The target-3 boost of the full 2-shift, as its eight contractions
+    # b a^8, ..., b a; `boost_entropy_pipeline` itself stops at target 2.
+    "boost_full2_target3": (
+        "from shiftflow import MovePipeline, Word, full_shift\n"
+        "pipe = MovePipeline.start(full_shift(['a', 'b']))\n",
+        "for k in range(8, 0, -1):\n"
+        "    pipe = pipe.word_contract(Word('b' + 'a' * k))",
+    ),
+    # fe_equal against Franks' decision on every pair of 150 finite and
+    # cofinite gap sets, with the generator of tests/test_gap_layers.py
+    # (the test runs 50); needs the checkout's tests package.
+    "franks_150_sets": (
+        "import random\n"
+        "from shiftflow import fe_equal, franks_decide\n"
+        "from shiftflow.invariants import is_single_orbit\n"
+        "from tests.test_gap_layers import _edge_shift_matrix, _finite_type_sets\n",
+        "sets = _finite_type_sets(random.Random(10), 150)\n"
+        "mats = [_edge_shift_matrix(s) for s in sets]\n"
+        "single = [is_single_orbit(m) for m in mats]\n"
+        "for i in range(len(sets)):\n"
+        "    for j in range(i, len(sets)):\n"
+        "        want = single[i] and single[j] if single[i] or single[j] else franks_decide(mats[i], mats[j])\n"
+        "        assert (fe_equal(sets[i], sets[j]).outcome == 'equivalent') == want, (sets[i], sets[j])",
+    ),
 }
 
 CHILD = """\
