@@ -9,7 +9,7 @@ from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInput, NonConvergenceError, PreconditionError
-from .graphs import DirectedGraph, _adjacency_rows, _components, _index_rows, _walks, from_adjacency
+from .graphs import DirectedGraph, _adjacency_rows, _components, _gather, _index_rows, _walks, from_adjacency
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, _subset_automaton
 from .sft import MAX_CANDIDATES, ForbiddenSetSFT, _edge_graph, _edge_shift, _short_words, language_count
@@ -60,7 +60,7 @@ def entropy_word_count(obj, n: int) -> EntropyEstimate:
     elif isinstance(obj, LabeledGraph):
         count = _sofic_word_counts(obj, n)[-1]
     else:
-        count = sum(next(islice(_walks(_rows(obj)), n, None)))
+        count = sum(next(islice(_walks(_gather(_rows(obj))), n, None)))
     if count == 0:
         return EntropyEstimate(0.0, "word_count", n, empty=True)
     return EntropyEstimate(log2(count) / n, "word_count", n)
@@ -202,7 +202,7 @@ def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int)
         return len(pair_words) == 2**length
     rows = [[(t, 1) for s, t in row.items() if s in pair and pair.issuperset(v)]
             for v, row in zip(data.vertices, data.delta)]
-    return sum(next(islice(_walks(rows), length - m, None))) == 2**length
+    return sum(next(islice(_walks(_gather(rows)), length - m, None))) == 2**length
 
 
 def boost_entropy_pipeline(x: ForbiddenSetSFT, a: str, b: str, target: int) -> MovePipeline:

@@ -4,15 +4,17 @@ Edges carry a stable integer id assigned at construction.  Ids survive
 essentialization, which matters for labeled graphs layered on top.
 Automata, of the edge shift and of presentations, are lists of
 `{label: next index}` rows, read by `_index_rows`, `_trim` and `_restrict`.
+Every path count is one kernel, `_walks`, over the flat `_gather` form
+of index rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import mul
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate, islice
+from operator import itemgetter, mul
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInput
 
@@ -254,7 +256,7 @@ def _essential(n: int, src: Sequence[int], dst: Sequence[int]) -> list[int]:
     return [i for i, a in enumerate(alive) if a]
 
 
-def _index_rows(delta: list[dict[str, int]]) -> list[list[tuple[int, int]]]:
+def _index_rows(delta: list[dict[str, int]]) -> list[tuple[tuple[int, int], ...]]:
     """Index rows of an automaton: per state the (next, number of labels
     leading there) pairs in increasing next, the `sparse_adjacency` of the
     automaton built as a graph."""
@@ -263,7 +265,7 @@ def _index_rows(delta: list[dict[str, int]]) -> list[list[tuple[int, int]]]:
         counts: dict[int, int] = {}
         for t in row.values():
             counts[t] = counts.get(t, 0) + 1
-        rows.append(sorted(counts.items()))
+        rows.append(tuple(sorted(counts.items())))
     return rows
 
 
@@ -279,23 +281,55 @@ def _restrict(delta: list[dict[str, int]], keep: list[int]) -> list[dict[str, in
     return [{a: at[t] for a, t in delta[i].items() if t in at} for i in keep]
 
 
-def _walks(rows: Sequence[Sequence[tuple[int, int]]]) -> Iterator[list[int]]:
-    """A^k 1 for k = 0, 1, 2, ..., A the matrix with these index rows:
-    entry i counts the paths of k edges that start at index i.
+class _Gather(NamedTuple):
+    """Index rows in the flat form `_walks` reads: `terms` gathers the
+    entry of every row term's column from a vector, row after row, into
+    one tuple; `ks` are the terms' multiplicities, None when all are 1;
+    `cut` cuts such a tuple into one slice per row; `size` counts the rows."""
+
+    terms: Callable[[Sequence[int]], tuple[int, ...]]
+    ks: tuple[int, ...] | None
+    cut: Callable[[tuple[int, ...]], tuple[tuple[int, ...], ...]]
+    size: int
+
+
+def _getter(items: tuple) -> Callable[[Sequence], tuple]:
+    """`itemgetter(*items)`, which returns the tuple of those items of a
+    sequence, except that for one item it returns the item itself and for
+    none it raises; this returns a tuple for those too."""
+    if len(items) > 1:
+        return itemgetter(*items)
+    return lambda seq: tuple([seq[i] for i in items])
+
+
+def _gather(rows: Sequence[Sequence[tuple[int, int]]]) -> _Gather:
+    """The `_Gather` form of these index rows, built in a few passes."""
+    cols = tuple([j for row in rows for j, _ in row])
+    ks = tuple([k for row in rows for _, k in row])
+    ends = list(accumulate(map(len, rows), initial=0))
+    cut = tuple(map(slice, ends, ends[1:]))
+    return _Gather(_getter(cols), None if ks.count(1) == len(ks) else ks, _getter(cut), len(rows))
+
+
+def _walks(form: _Gather) -> Iterator[list[int]]:
+    """A^k 1 for k = 0, 1, 2, ..., A the matrix of the index rows that
+    `form` was built from: entry i counts the paths of k edges that start
+    at index i.
 
     Repeated matrix-vector products with Python integers, so no overflow
-    and no powers of the matrix; each is a gather pass, per row a `sum`
-    over its columns' entries of the last vector, times its entries unless 1.
+    and no powers of the matrix.  Each is a few C-level passes: one gather
+    of every term's entry of the last vector, times the multiplicities
+    unless all are 1, one cut of those into rows, and per row a `sum`,
+    which adds the row's terms in row order.
     """
-    terms = []
-    for row in rows:
-        cols, ks = zip(*row) if row else ((), ())
-        terms.append((cols, None if ks.count(1) == len(ks) else ks))
-    vec = [1] * len(rows)
+    terms, ks, cut, size = form
+    vec = [1] * size
     while True:
         yield vec
-        get = vec.__getitem__
-        vec = [sum(map(get, cols)) if ks is None else sum(map(mul, ks, map(get, cols))) for cols, ks in terms]
+        t = terms(vec)
+        if ks is not None:
+            t = tuple(map(mul, ks, t))
+        vec = list(map(sum, cut(t)))
 
 
 def from_adjacency(matrix: Sequence[Sequence[int]]) -> DirectedGraph:
@@ -309,4 +343,4 @@ def path_count(graph: DirectedGraph, length: int) -> int:
     """Number of directed paths with `length` edges, exactly."""
     if length < 0:
         raise InvalidInput("path length must be nonnegative")
-    return sum(next(islice(_walks(graph.sparse_adjacency()), length, None)))
+    return sum(next(islice(_walks(_gather(graph.sparse_adjacency())), length, None)))

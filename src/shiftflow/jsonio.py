@@ -14,7 +14,7 @@ import json
 from typing import Any, Callable
 
 from .entropy import EntropyEstimate
-from .errors import InvalidInput
+from .errors import InvalidInput, ShiftSpaceError
 from .graphs import DirectedGraph
 from .invariants import SignedBFGroup
 from .moves import MovePipeline, Recode, SymbolContraction, SymbolExpansion, WordContraction
@@ -275,7 +275,8 @@ def parse_pipeline(doc: Any) -> MovePipeline:
     """A pipeline document: a source SFT plus a list of move commands.
 
     Moves are replayed in order against the source, so the result
-    carries every intermediate shift and each move's fresh symbols.
+    carries every intermediate shift and each move's fresh symbols.  A
+    move that the shift before it refuses is reported at its path.
     """
     obj = _expect_object(doc, "", {"source", "moves"})
     if "source" not in obj:
@@ -284,8 +285,12 @@ def parse_pipeline(doc: Any) -> MovePipeline:
         raise _fail("", "a pipeline needs a \"moves\" array")
     pipe = MovePipeline.start(parse_sft(obj["source"], "source"))
     for i, mv in enumerate(_expect_list(obj["moves"], "moves")):
-        op, values = _read_tagged(mv, f"moves[{i}]", "op", _MOVES, "move", lambda op, key: f'{op} needs a "{key}"')
-        pipe = getattr(pipe, op)(*values)
+        path = f"moves[{i}]"
+        op, values = _read_tagged(mv, path, "op", _MOVES, "move", lambda op, key: f'{op} needs a "{key}"')
+        try:
+            pipe = getattr(pipe, op)(*values)
+        except ShiftSpaceError as exc:
+            raise _fail(path, str(exc)) from exc
     return pipe
 
 
@@ -294,10 +299,15 @@ def pipeline_json(pipe: MovePipeline) -> dict:
 
 
 def parse_sgap(doc: Any) -> SGapSet:
+    """A gap-set document; a check across its keys that the gap-set class
+    makes is reported at the document."""
     kind, values = _read_tagged(
         doc, "", "kind", _GAP_KINDS, "kind", lambda kind, key: f'{_GAP_KINDS[kind][2]} needs "{key}"'
     )
-    return _GAP_KINDS[kind][0](*values)
+    try:
+        return _GAP_KINDS[kind][0](*values)
+    except ShiftSpaceError as exc:
+        raise _fail("", str(exc)) from exc
 
 
 def sgap_json(s: SGapSet) -> dict:

@@ -19,7 +19,7 @@ from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, PreconditionError
-from .graphs import DirectedGraph, Edge, Vertex, _components, _essential, _index_rows, _restrict, _trim, _walks
+from .graphs import DirectedGraph, Edge, Vertex, _components, _essential, _gather, _index_rows, _restrict, _trim, _walks
 from .sft import ForbiddenSetSFT, _edge_graph, _unambiguous_word
 from .words import EMPTY_WORD, Word, _word
 
@@ -176,7 +176,7 @@ def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
     is readable but belongs to no point.
     """
     _, delta = _subset_automaton(_essential_rows(lg))
-    return [vec[0] for vec in islice(_walks(_index_rows(delta)), 1, upto + 1)]
+    return [vec[0] for vec in islice(_walks(_gather(_index_rows(delta))), 1, upto + 1)]
 
 
 def _pair_walk(first: list[dict[str, int]], second: list[dict[str, int]], start: tuple[int, int]) -> Word | None:

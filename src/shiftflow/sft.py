@@ -6,10 +6,11 @@ cached index automaton, the essential edge shift as its vertices and
 `{symbol: next index}` rows (`EdgeShiftData`), so repeated queries stay
 cheap.  Inside, words are plain symbol tuples, which hash and compare
 equal to Words; each word handed out is wrapped once with `_word`.
-Membership and word counts are one pass each over the automaton, read
-along its rows or by paths.  A `DirectedGraph` is built only where a
-graph is the output, on each call, with the words of the step plus one
-grown again for its edge ids.
+Membership is one pass along the automaton's rows; word counts run the
+path-count kernel `graphs._walks` on its `gather` form, kept with the
+automaton, so a warm count pays no set-up.  A `DirectedGraph` is built
+only where a graph is the output, on each call, with the words of the
+step plus one grown again for its edge ids.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
-from .graphs import DirectedGraph, Edge, _essential, _index_rows, _restrict, _strongly_connected, _walks
+from .graphs import DirectedGraph, Edge, _essential, _Gather, _gather, _index_rows, _restrict, _strongly_connected, _walks
 from .words import EMPTY_WORD, Alphabet, Word, _check_symbols, _windows, _word
 
 
@@ -117,9 +118,9 @@ class EdgeShiftData:
     `vertices` are the bi-extendable m-words, sorted, and `delta[i]` maps
     each symbol s that vertex u = vertices[i] can read to the index of
     (u + (s,))[1:]; a move whose ends did not both survive the trim is
-    left out.  `index` and `rows` are derived from them on first use.  The
-    (m+1)-words are not kept: the graph outputs grow them again
-    (`_edge_graph`).
+    left out.  `index`, `rows` and `gather` are derived from them on
+    first use.  The (m+1)-words are not kept: the graph outputs grow them
+    again (`_edge_graph`).
     """
 
     vertices: tuple[tuple[str, ...], ...]
@@ -132,10 +133,17 @@ class EdgeShiftData:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def rows(self) -> list[list[tuple[int, int]]]:
+    def rows(self) -> list[tuple[tuple[int, int], ...]]:
         """Per vertex index the (j, edges to j) pairs in increasing j:
         the graph's `sparse_adjacency()` without building the graph."""
         return _index_rows(self.delta)
+
+    @cached_property
+    def gather(self) -> _Gather:
+        """The index rows in the form `graphs._walks` reads, for word
+        counts; built from rows of its own, so a shift that is only
+        counted does not keep `rows` too."""
+        return _gather(_index_rows(self.delta))
 
 
 # A module-wide LRU, not a field of the shift: equal shifts rebuilt from
@@ -261,7 +269,7 @@ def enumerate_language(x: ForbiddenSetSFT, n: int) -> list[Word]:
     d = max(map(len, delta), default=0)
     # d >= 2 gives d^21 > 2^20, so the capped exponent keeps the comparison.
     if len(delta) * d ** min(n - m, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
-        for count in map(sum, islice(_walks(data.rows), n - m + 1)):
+        for count in map(sum, islice(_walks(data.gather), n - m + 1)):
             if count > MAX_CANDIDATES:
                 raise PreconditionError(
                     f"words of length {n} number at least {count}, above the limit {MAX_CANDIDATES}")
@@ -281,7 +289,7 @@ def language_count(x: ForbiddenSetSFT, n: int) -> int:
     m = x.step
     if n <= m:
         return len(_short_words(data, n))
-    return sum(next(islice(_walks(data.rows), n - m, None)))
+    return sum(next(islice(_walks(data.gather), n - m, None)))
 
 
 def _unambiguous_word(word: Word | str, symbols: Iterable[str]) -> Word:
@@ -313,12 +321,13 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
     if len(w) <= m:
         return w in _short_words(data, len(w))
     delta = data.delta
-    i = data.index.get(tuple.__getitem__(w, slice(m)))
-    for s in islice(w, m, None):
-        if i is None:
-            return False
-        i = delta[i].get(s)
-    return i is not None
+    try:
+        i = data.index[tuple.__getitem__(w, slice(m))]
+        for s in islice(w, m, None):
+            i = delta[i][s]
+    except KeyError:
+        return False
+    return True
 
 
 def is_irreducible(x: ForbiddenSetSFT) -> bool:

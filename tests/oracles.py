@@ -47,7 +47,7 @@ from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
 from shiftflow.errors import InvalidInput, NonConvergenceError, PartialBlockMapError, PreconditionError
-from shiftflow.graphs import DirectedGraph, Edge, Vertex, _essential, _walks, from_adjacency, path_count
+from shiftflow.graphs import DirectedGraph, Edge, Vertex, _essential, _gather, _walks, from_adjacency, path_count
 from shiftflow.invariants import (
     Matrix,
     SignedBFGroup,
@@ -1466,7 +1466,7 @@ def _sofic_word_counts(lg: LabeledGraph, upto: int) -> list[int]:
         return [0] * upto
     g, _, seed = _subset_automaton(ess)
     at = g.vertices.index(seed)
-    return [vec[at] for vec in islice(_walks(g.sparse_adjacency()), 1, upto + 1)]
+    return [vec[at] for vec in islice(_walks(_gather(g.sparse_adjacency())), 1, upto + 1)]
 
 
 def _same_shift(p: LabeledGraph, q: LabeledGraph) -> bool:

@@ -51,11 +51,17 @@ RUNS = [
      ['error: moves[0]: word_contract needs a "word"']),
     (["validate", '{"source":' + GM + ',"moves":[{"op":"recode","table":{},"window":0}]}'], {},
      ["error: moves[0].window: expected a positive integer"]),
+    (["validate", '{"source":{"alphabet":["0"],"forbidden":[]},"moves":[{"op":"expand","symbol":"x"}]}'], {},
+     ["error: moves[0]: 'x' is not in the alphabet"]),
     (["validate", '{"kind":"sampled","members":[3,2],"bound":10}'], {}, ["error: members: must be strictly increasing"]),
     (["validate", '{"kind":"eventually_periodic","R":[-2],"T":[0],"N":2}'], {}, ["error: R[0]: negative value -2"]),
     (["validate", '{"kind":"weird"}'], {}, ["error: kind: unknown kind 'weird'"]),
     (["validate", '{"kind":"eventually_periodic","R":[],"T":[0],"N":0}'], {},
      ["error: N: expected a positive integer period"]),
+    (["validate", '{"kind":"finite","elements":[]}'], {},
+     ["error: document: a finite gap set needs at least one element"]),
+    (["validate", '{"kind":"sampled","members":[0,2,4],"bound":3}'], {},
+     ["error: document: member 4 exceeds the bound 3"]),
     (["sgap", "classify", '{"kind":"finite","elements":[0,2],"T":[1],"N":2}'], {}, ["error: document: unknown key 'N'"]),
     (["validate", "{}"], {}, ["error: document matches no known input format"]),
     (["validate", GM], {}, ['{"valid":true,"kind":"sft"}']),

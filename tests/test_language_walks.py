@@ -27,7 +27,7 @@ from shiftflow import (
     sft_to_edge_shift,
 )
 from shiftflow.cli import main
-from shiftflow.graphs import _adjacency_rows, _walks
+from shiftflow.graphs import _adjacency_rows, _gather, _walks
 from shiftflow.sft import MAX_CANDIDATES, EdgeShiftData, ForbiddenSetSFT, _edge_shift, _short_words
 
 from .oracles import contains_word_by_windows, edge_shift_by_words, short_words_by_windows, walks_by_generators
@@ -114,7 +114,7 @@ def test_short_words_and_counts_match_the_oracles():
             assert _short_words(data, n) == short_words_by_windows(data, n)
             assert language_count(x, n) == len(short_words_by_windows(data, n))
         rows = sft_to_edge_shift(x)[0].sparse_adjacency()
-        for k, (got, want) in enumerate(zip(_walks(rows), islice(walks_by_generators(rows), 13))):
+        for k, (got, want) in enumerate(zip(_walks(_gather(rows)), islice(walks_by_generators(rows), 13))):
             assert got == want
             if k:
                 assert language_count(x, x.step + k) == sum(want)
@@ -122,23 +122,24 @@ def test_short_words_and_counts_match_the_oracles():
 
 def test_walks_match_the_generator_oracle_on_matrices():
     rng = random.Random(11)
-    matrices = [[[10**12, 1], [1, 0]], [[0]], []]
+    # One term, of multiplicity 1 and above, no term, and a row with none.
+    matrices = [[[10**12, 1], [1, 0]], [[0]], [], [[1]], [[5]], [[2, 1, 0], [0, 0, 0], [1, 3, 1]]]
     for _ in range(300):
         n = rng.randint(1, 6)
         matrices.append([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
     for a in matrices:
         rows = _adjacency_rows(a)
-        got = list(islice(_walks(rows), 13))
+        got = list(islice(_walks(_gather(rows)), 13))
         assert got == list(islice(walks_by_generators(rows), 13))
         assert all(type(v) is int for vec in got for v in vec)
-    fib = list(islice(_walks(_adjacency_rows([[10**12, 1], [1, 0]])), 3))
+    fib = list(islice(_walks(_gather(_adjacency_rows([[10**12, 1], [1, 0]]))), 3))
     assert fib[2] == [10**24 + 10**12 + 1, 10**12 + 1]
 
 
 def test_edge_shift_data_equality_reads_vertices_and_delta():
     """The automaton's only fields are its vertices and `delta`.  Equality
-    reads both, not the `index` and `rows` derived from them on first use;
-    the hash reads the vertices."""
+    reads both, not the `index`, `rows` and `gather` derived from them on
+    first use; the hash reads the vertices."""
     assert [f.name for f in dataclasses.fields(EdgeShiftData)] == ["vertices", "delta"]
     x = sft(["a", "b", "c"], ["cc", "aba"])
     _edge_shift.cache_clear()
@@ -146,6 +147,10 @@ def test_edge_shift_data_equality_reads_vertices_and_delta():
     assert data == want and hash(data) == hash(want)
     index, rows = data.index, data.rows
     assert "rows" in vars(data) and "rows" not in vars(want)
+    assert data == want and hash(data) == hash(want)
+    assert "gather" not in vars(data)
+    assert language_count(x, x.step + 8) == sum(next(islice(walks_by_generators(rows), 8, None)))
+    assert "gather" in vars(data) and "gather" not in vars(want)
     assert data == want and hash(data) == hash(want)
     assert len(index) == len(data.delta) == len(rows) == len(graph.vertices)
     assert sum(map(len, data.delta)) == len(graph.edges)

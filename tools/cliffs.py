@@ -50,6 +50,23 @@ CLIFFS = {
         "x = sft('abc', ['c' * 12])\n",
         "language_count(x, 21)",
     ),
+    # Twenty counts on the warm step-8 automaton of 3^8 = 6,561 vertices:
+    # the path-count kernel alone, with no set-up left to pay.
+    "count_c9_warm": (
+        "from shiftflow import language_count, sft\n"
+        "x = sft('abc', ['c' * 9])\n"
+        "language_count(x, 14)\n",
+        "for _ in range(20):\n"
+        "    language_count(x, 14)",
+    ),
+    # The golden mean shift's count of 20,000-symbol words, a 13,886-bit
+    # integer, on 2 vertices: big-int additions, and per step the fixed
+    # cost of one matrix-vector product.
+    "count_golden_long": (
+        "from shiftflow import language_count, sft\n"
+        "x = sft('01', ['11'])\n",
+        "language_count(x, 20_000)",
+    ),
     # A second graph output on the same shift: the edge shift keeps no
     # (m+1)-words and no graph, so the 3^10 - 1 words of this step-9
     # shift are grown again for the edge ids and labels.
