@@ -9,7 +9,7 @@ from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import InvalidInput, NonConvergenceError, PreconditionError
-from .graphs import DirectedGraph, _adjacency_rows, _components, _gather, _index_rows, _walks, from_adjacency
+from .graphs import DirectedGraph, _adjacency_rows, _components, _gather, _getter, _index_rows, _walks, from_adjacency
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, _subset_automaton
 from .sft import MAX_CANDIDATES, ForbiddenSetSFT, _edge_graph, _edge_shift, _short_words, language_count
@@ -78,15 +78,28 @@ def _power_iteration_rho(rows: Sequence[Sequence[tuple[int, int]]], tol: float, 
 
     Set-up groups the rows of A + I by term count and renumbers the
     positions so each group is one run; per group and term position it
-    keeps the columns, and the multiplicities unless all are 1.  An
-    iteration is then a few `map` passes over those lists.  Each row sum
-    still starts from its term of least column and adds the rest in
-    increasing column order, and 1 * x is x, so every float equals the
+    keeps one `graphs._getter` over the columns, and the multiplicities
+    unless all are 1.  An iteration is then a few C-level passes.  Each
+    row sum still starts from its term of least column and adds the rest
+    in increasing column order, and 1 * x is x, so every float equals the
     one the dense product gives (adding 0.0 changes no float), as long as
-    `sum` adds floats left to right (CPython before 3.12).  The ratios,
-    min, max and the rescaling do not depend on the order of positions,
-    so the iterates, the iteration count and the result are those of a
-    loop that sums each row with `sum`.
+    `sum` adds floats left to right (CPython before 3.12).
+
+    The whole bracket is read only when it can close.  Each iteration
+    first computes ra and rb, the ratios at the positions where the last
+    full read found hi and lo, and B = max(Bv) / min(v).  When
+    |ra - rb| > tol * max(1, B), it only rescales, and a full read could
+    not have stopped: ra and rb are among its ratios, so hi - lo >=
+    |ra - rb| before rounding; every ratio (Bv)_i / v_i is at most
+    max(Bv) / min(v) before rounding, so hi <= B; and rounding is
+    monotone, so the rounded hi - lo is at least the rounded |ra - rb|,
+    and tol * max(1, hi) is at most tol * max(1, B).  A NaN fails the
+    comparison and gets the full read.  The ratios, min, max and the
+    rescaling do not depend on the order of positions, so the iterates,
+    the iteration count and the result are those of a loop that sums
+    each row with `sum` and reads every ratio of every iteration.  An
+    entry of v that underflows to 0.0 would make its ratio divide by
+    zero, and raises `NonConvergenceError` instead.
     """
     n = len(rows)
     b = []
@@ -105,23 +118,31 @@ def _power_iteration_rho(rows: Sequence[Sequence[tuple[int, int]]], tol: float, 
         # from a generator (see `invariants.as_matrix`).
         for column in zip(*list(members)):
             ks = [k for _, k in column]
-            terms.append(([at[j] for j, _ in column], ks if max(ks) > 1 else None))
+            terms.append((_getter(tuple([at[j] for j, _ in column])), ks if max(ks) > 1 else None))
         groups.append(terms)
     vec = [1.0] * n
-    for _ in range(max_iterations):
-        get = vec.__getitem__
+    hi_at = lo_at = 0
+    for done in range(max_iterations):
         nxt: list[float] = []
         for terms in groups:
             acc = None
-            for cols, ks in terms:
-                term = map(get, cols) if ks is None else map(mul, ks, map(get, cols))
+            for get, ks in terms:
+                term = get(vec) if ks is None else map(mul, ks, get(vec))
                 acc = term if acc is None else map(add, acc, term)
             nxt += acc
-        ratios = list(map(truediv, nxt, vec))
-        lo, hi = min(ratios), max(ratios)
-        if hi - lo <= tol * max(1.0, hi):
-            return (lo + hi) / 2.0 - 1.0
-        vec = list(map(truediv, nxt, repeat(max(nxt), n)))
+        top, least = max(nxt), min(vec)
+        if least == 0.0:
+            raise NonConvergenceError(
+                f"power iteration underflowed after {done} iterations: "
+                "an entry of the Perron vector fell below the smallest float", done
+            )
+        if abs(nxt[hi_at] / vec[hi_at] - nxt[lo_at] / vec[lo_at]) <= tol * max(1.0, top / least):
+            ratios = list(map(truediv, nxt, vec))
+            lo, hi = min(ratios), max(ratios)
+            if hi - lo <= tol * max(1.0, hi):
+                return (lo + hi) / 2.0 - 1.0
+            hi_at, lo_at = ratios.index(hi), ratios.index(lo)
+        vec = list(map(truediv, nxt, repeat(top, n)))
     raise NonConvergenceError(
         f"power iteration did not settle within {max_iterations} iterations", max_iterations
     )

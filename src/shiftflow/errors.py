@@ -28,7 +28,9 @@ class PartialBlockMapError(ShiftSpaceError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Iterative numeric routine exhausted its iteration budget."""
+    """Iterative numeric routine stopped without an answer: its iteration
+    budget ran out, or its floats underflowed.  `iterations` counts the
+    iterations it completed."""
 
     def __init__(self, message: str, iterations: int):
         super().__init__(message)

@@ -299,7 +299,10 @@ def _getter(items: tuple) -> Callable[[Sequence], tuple]:
     none it raises; this returns a tuple for those too."""
     if len(items) > 1:
         return itemgetter(*items)
-    return lambda seq: tuple([seq[i] for i in items])
+    if items:
+        key = items[0]
+        return lambda seq: (seq[key],)
+    return lambda seq: ()
 
 
 def _gather(rows: Sequence[Sequence[tuple[int, int]]]) -> _Gather:

@@ -19,7 +19,9 @@ one edge per unit of each entry, from `smith_normal_form_by_closures` to
 reachability search for irreducibility and the cycle walk for single
 orbits, `determinant_by_bareiss` to `single_orbit_by_cycle_walk`; and
 the Perron power loop that built one
-generator per row on every iteration, `power_iteration_rho_by_generators`;
+generator per row on every iteration, `power_iteration_rho_by_generators`,
+and its gather-pass successor that read every ratio of the bracket on
+every iteration, `power_iteration_rho_full_read`;
 and the Tarjan search on vertex-keyed dicts, `components_by_vertex`;
 and the essential trim that recounted every edge in each round,
 `essential_part_by_rescanning`, which the edge-shift and presentation
@@ -42,8 +44,9 @@ import functools
 import itertools
 from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice, repeat
 from math import gcd
+from operator import add, mul, truediv
 from typing import Callable, Iterator, Mapping, Sequence
 
 from shiftflow.errors import InvalidInput, NonConvergenceError, PartialBlockMapError, PreconditionError
@@ -308,6 +311,50 @@ def power_iteration_rho_by_generators(
             return (lo + hi) / 2.0 - 1.0
         top = max(nxt)
         vec = [v / top for v in nxt]
+    raise NonConvergenceError(
+        f"power iteration did not settle within {max_iterations} iterations", max_iterations
+    )
+
+
+def power_iteration_rho_full_read(
+    rows: Sequence[Sequence[tuple[int, int]]], tol: float, max_iterations: int
+) -> tuple[float, int]:
+    """The gather-pass Perron loop as it was before it learned to skip
+    bracket reads: every iteration divides every entry and takes the min
+    and max of the ratios.  Returns the root and the number of iterations
+    it took; raises as `power_iteration_rho_by_generators` does."""
+    n = len(rows)
+    b = []
+    for i, row in enumerate(rows):
+        merged = dict(row)
+        merged[i] = merged.get(i, 0) + 1
+        b.append(sorted(merged.items()))
+    order = sorted(range(n), key=[len(row) for row in b].__getitem__)
+    at = [0] * n
+    for p, i in enumerate(order):
+        at[i] = p
+    groups = []
+    for _, members in groupby([b[i] for i in order], len):
+        terms = []
+        for column in zip(*list(members)):
+            ks = [k for _, k in column]
+            terms.append(([at[j] for j, _ in column], ks if max(ks) > 1 else None))
+        groups.append(terms)
+    vec = [1.0] * n
+    for done in range(max_iterations):
+        get = vec.__getitem__
+        nxt: list[float] = []
+        for terms in groups:
+            acc = None
+            for cols, ks in terms:
+                term = map(get, cols) if ks is None else map(mul, ks, map(get, cols))
+                acc = term if acc is None else map(add, acc, term)
+            nxt += acc
+        ratios = list(map(truediv, nxt, vec))
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol * max(1.0, hi):
+            return (lo + hi) / 2.0 - 1.0, done + 1
+        vec = list(map(truediv, nxt, repeat(max(nxt), n)))
     raise NonConvergenceError(
         f"power iteration did not settle within {max_iterations} iterations", max_iterations
     )

@@ -18,6 +18,7 @@ from shiftflow.jsonio import dumps, graph_json, parse_sft, sft_json, sgap_json
 from shiftflow.sft import _edge_shift
 
 from .oracles import edge_shift_by_words
+from .test_perron_paths import _underflowing_cycle
 from .test_sgap import _partner, _random_gaps
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -77,6 +78,8 @@ FAR = '{"kind":"eventually_periodic","R":[],"T":[%d],"N":2}'
 # n = 10^5 took 0.9 s and 116 MiB, so n = 10^7 would need about 11 GiB.
 # The translation by one of an offset at
 # 100,000 scanned every translation up to the span and took 6 to 9 s.
+# A cycle through 121 indices with 1000 at [0][0] has a Perron vector whose
+# entry at index 1 underflows to zero; its ratio raised `ZeroDivisionError`.
 HARD_INPUTS = {
     "language-enum-c13": (["language", "enum", "--n", "2", _forbidding_c(13)], 2, "", TOO_MANY),
     "language-enum-c15": (["language", "enum", "--n", "2", _forbidding_c(15)], 2, "", TOO_MANY),
@@ -88,6 +91,13 @@ HARD_INPUTS = {
         2,
         "",
         "error: scaling by 10000000 gives 19999999 vertices, above the limit 1048576\n",
+    ),
+    "entropy-underflow-121": (
+        ["entropy", json.dumps(_underflowing_cycle(121))],
+        2,
+        "",
+        "error: power iteration underflowed after 120 iterations: "
+        "an entry of the Perron vector fell below the smallest float\n",
     ),
     "sgap-fe-equal-far-100000": (
         ["sgap", "fe-equal", FAR % 100_000, FAR % 100_001],

@@ -17,6 +17,8 @@ import pytest
 
 from shiftflow.cli import main
 
+from .test_perron_paths import _underflowing_cycle
+
 FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 GM = '{"alphabet":["0","1"],"forbidden":["11"]}'
 PIPELINE = '{"source":' + GM + ',"moves":[{"op":"word_contract","word":"10"}]}'
@@ -79,6 +81,8 @@ RUNS = [
      ['{"vertices":["0","1"],"edges":[{"from":"0","to":"0","label":"0"},{"from":"0","to":"1","label":"1"},'
       '{"from":"1","to":"0","label":"0"}]}']),
     (["entropy", "[[1,1],[1,0]]"], {}, ['{"value":0.6942419136301513,"method":"perron"}']),
+    (["entropy", "cycle121.json"], {"cycle121.json": json.dumps(_underflowing_cycle(121))},
+     ["error: power iteration underflowed after 120 iterations: an entry of the Perron vector fell below the smallest float"]),
     (["entropy", "--method", "wordcount", "--n", "24", GM], {},
      ['{"value":0.7037219044555328,"method":"word_count","n_used":24}']),
     (["entropy", "--method", "wordcount", "--n", "8", '{"alphabet":["0"],"forbidden":["0"]}'], {},

@@ -1,7 +1,7 @@
 """The Perron power loop as gather passes against the per-row generator
-loop it replaced (kept in `oracles`), Perron roots of matrices read
-straight from their entries, and the allocations of repeated
-presentation work."""
+loop it replaced (kept in `oracles`), its skipped bracket reads against
+the loop that read every ratio, Perron roots of matrices read straight
+from their entries, and the allocations of repeated presentation work."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from shiftflow import (
 from shiftflow.cli import main
 from shiftflow.entropy import _power_iteration_rho
 
-from .oracles import power_iteration_rho_by_generators
+from .oracles import power_iteration_rho_by_generators, power_iteration_rho_full_read
 
 
 def _irreducible_matrices() -> list[list[list[int]]]:
@@ -79,6 +79,44 @@ def test_gather_passes_match_the_generator_loop():
             assert outcomes[0] == outcomes[1]
             gave_up += outcomes[0] == (f"power iteration did not settle within {budget} iterations", budget)
     assert gave_up > 500
+
+
+def test_skipped_bracket_reads_keep_the_iteration_count():
+    """On the `spectral` ladders and 50 matrices with multiplicities, the
+    kernel stops at the iteration K where the loop that reads every ratio
+    stops, with its float, and with a budget of K - 1 gives up with the
+    same message and count."""
+    ladders = [scale_entropy_construction([[k]], n) for k, top in ((2, 32), (3, 16), (4, 12)) for n in range(1, top + 1)]
+    matrices = [m for m in _irreducible_matrices() if max(map(max, m)) > 1][:50]
+    assert len(matrices) == 50
+    for g in ladders + [from_adjacency(m) for m in matrices]:
+        rows = g.sparse_adjacency()
+        rho, k = power_iteration_rho_full_read(rows, 1e-12, 100_000)
+        assert _power_iteration_rho(rows, 1e-12, k) == rho
+        with pytest.raises(NonConvergenceError) as exc:
+            _power_iteration_rho(rows, 1e-12, k - 1)
+        assert (str(exc.value), exc.value.iterations) == (f"power iteration did not settle within {k - 1} iterations", k - 1)
+
+
+def _underflowing_cycle(length: int) -> list[list[int]]:
+    """A cycle through `length` indices with 1000 on the diagonal at 0: the
+    Perron vector's entry at index i is about 1000^(i - length) times its
+    entry at 0, for i from 1 on."""
+    m = [[0] * length for _ in range(length)]
+    m[0][0] = 1000
+    for i in range(length):
+        m[i][(i + 1) % length] = 1
+    return m
+
+
+def test_an_underflowing_perron_vector_raises_non_convergence():
+    """At 121 indices the entry at 1 (about 1e-360) falls below the
+    smallest float, and its ratio would divide by zero; at 50 the root is
+    found."""
+    assert abs(perron_entropy(_underflowing_cycle(50)).value - math.log2(1000)) < 1e-9
+    with pytest.raises(NonConvergenceError, match="^power iteration underflowed after 120 iterations: ") as exc:
+        perron_entropy(_underflowing_cycle(121))
+    assert exc.value.iterations == 120
 
 
 def test_perron_of_a_matrix_matches_the_unit_edge_graph():

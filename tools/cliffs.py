@@ -99,7 +99,20 @@ CLIFFS = {
         "b = EventuallyPeriodicGaps((), (100_001,), 2)\n",
         "fe_equal(a, b)",
     ),
-    # Perron root of [[2]] with every edge a path of 200 edges.
+    # Perron root of [[2]] with every edge a path of 64 edges: 127
+    # vertices, and the power loop finishes.
+    "scale_64_perron": (
+        "from shiftflow import perron_entropy, scale_entropy_construction\n"
+        "g = scale_entropy_construction([[2]], 64)\n",
+        "perron_entropy(g)",
+    ),
+    # The same at n = 100: 199 vertices.
+    "scale_100_perron": (
+        "from shiftflow import perron_entropy, scale_entropy_construction\n"
+        "g = scale_entropy_construction([[2]], 100)\n",
+        "perron_entropy(g)",
+    ),
+    # The same at n = 200: `NonConvergenceError` after 100,000 iterations.
     "scale_200_perron": (
         "from shiftflow import perron_entropy, scale_entropy_construction\n"
         "g = scale_entropy_construction([[2]], 200)\n",
