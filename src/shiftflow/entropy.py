@@ -35,12 +35,12 @@ def _as_graph(obj) -> DirectedGraph:
 
 
 def _rows(obj) -> Sequence[Sequence[tuple[int, int]]]:
-    """Index rows of a shift, graph or matrix: for a shift its edge-shift
-    automaton's `rows`, for a graph its `sparse_adjacency`, and for a
+    """Index rows of a shift, graph or matrix: for a shift those of its
+    edge-shift automaton, for a graph its `sparse_adjacency`, and for a
     matrix the rows of its own entries, so the work is bounded by the
     matrix size, not by its entries."""
     if isinstance(obj, ForbiddenSetSFT):
-        return _edge_shift(obj).rows
+        return _index_rows(_edge_shift(obj).delta)
     if isinstance(obj, (DirectedGraph, LabeledGraph)):
         return _as_graph(obj).sparse_adjacency()
     return _adjacency_rows(obj)

@@ -307,21 +307,18 @@ def recode(x: ForbiddenSetSFT, table: Mapping, window: int) -> tuple[ForbiddenSe
             raise PartialBlockMapError(f"table is missing occurring block {u!r}", window=tuple(u))
     used = {u: tbl[u] for u in blocks}
 
-    inverse: dict[Word, str] | None = {}
-    for u in blocks:
-        key = Word([used[u]])
-        if inverse.get(key, u[0]) != u[0]:
-            inverse = None
+    # the inverse reads q image symbols, those of the q windows of a
+    # (window + q - 1)-block, and writes the block's first symbol
+    for q in (1, 2):
+        inverse: dict[Word, str] = {}
+        for v in blocks if q == 1 else enumerate_language(x, window + 1):
+            key = Word([used[v[i : i + window]] for i in range(q)])
+            if inverse.setdefault(key, v[0]) != v[0]:
+                break
+        else:
             break
-        inverse[key] = u[0]
-    if inverse is None:
-        inverse = {}
-        for v in enumerate_language(x, window + 1):
-            key = Word([used[v[:window]], used[v[1:]]])
-            if inverse.get(key, v[0]) != v[0]:
-                raise PreconditionError("block map has no sliding inverse with memory below 2")
-            inverse[key] = v[0]
-    q = len(next(iter(inverse))) if inverse else 1
+    else:
+        raise PreconditionError("block map has no sliding inverse with memory below 2")
 
     out_alpha = Alphabet(tuple(sorted(set(used.values()))))
     k_img = x.step + (window - 1) + (q - 1)
@@ -423,10 +420,6 @@ def pipeline_apply_word(pipe: MovePipeline, word: Word | str) -> Word:
     return v
 
 
-def _elementary_stages(move: Move) -> int:
-    return len(move.word) if isinstance(move, WordContraction) else 1
-
-
 def _memory_weight(move: Move) -> int:
     if isinstance(move, Recode):
         return move.window
@@ -444,7 +437,7 @@ def deciding_length_bound(pipe: MovePipeline) -> int:
     does not use it; past this length, the images of successive powers
     of a cycle differ by one inserted repetition of the orbit image.
     """
-    n = sum(_elementary_stages(mv) for mv in pipe.moves)
+    n = sum(len(mv.word) if isinstance(mv, WordContraction) else 1 for mv in pipe.moves)
     m = max((_memory_weight(mv) for mv in pipe.moves), default=0)
     return ((m + 1) * n + 1) * 2**n
 

@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
-from .graphs import DirectedGraph, Edge, _essential, _Gather, _gather, _index_rows, _restrict, _strongly_connected, _walks
+from .graphs import DirectedGraph, Edge, _Gather, _gather, _index_rows, _restrict, _strongly_connected, _trim, _walks
 from .words import EMPTY_WORD, Alphabet, Word, _check_symbols, _windows, _word
 
 
@@ -118,9 +118,10 @@ class EdgeShiftData:
     `vertices` are the bi-extendable m-words, sorted, and `delta[i]` maps
     each symbol s that vertex u = vertices[i] can read to the index of
     (u + (s,))[1:]; a move whose ends did not both survive the trim is
-    left out.  `index`, `rows` and `gather` are derived from them on
-    first use.  The (m+1)-words are not kept: the graph outputs grow them
-    again (`_edge_graph`).
+    left out.  `index` and `gather` are derived from them on first use;
+    the readers of plain index rows (`is_irreducible`, Perron) build them
+    with `graphs._index_rows`.  The (m+1)-words are not kept: the graph
+    outputs grow them again (`_edge_graph`).
     """
 
     vertices: tuple[tuple[str, ...], ...]
@@ -133,16 +134,9 @@ class EdgeShiftData:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def rows(self) -> list[tuple[tuple[int, int], ...]]:
-        """Per vertex index the (j, edges to j) pairs in increasing j:
-        the graph's `sparse_adjacency()` without building the graph."""
-        return _index_rows(self.delta)
-
-    @cached_property
     def gather(self) -> _Gather:
         """The index rows in the form `graphs._walks` reads, for word
-        counts; built from rows of its own, so a shift that is only
-        counted does not keep `rows` too."""
+        counts."""
         return _gather(_index_rows(self.delta))
 
 
@@ -153,7 +147,7 @@ class EdgeShiftData:
 def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
     """The edge shift of x: the admissible m-words, sorted, with a move
     u -> (u + (s,))[1:] for each symbol s for which u + (s,) is
-    admissible, trimmed to its essential part by `graphs._essential` and
+    admissible, trimmed to its essential part by `graphs._trim` and
     `graphs._restrict`.  No (m+1)-word is listed: u + (s,) is admissible
     iff (u + (s,))[1:] is an admissible m-word and u + (s,) is not itself
     forbidden, as its other suffixes are suffixes of (u + (s,))[1:].
@@ -173,8 +167,7 @@ def _edge_shift(x: ForbiddenSetSFT) -> EdgeShiftData:
                 row[s] = j
         delta.append(row)
     del at  # not held while the trim runs
-    keep = _essential(len(names), [i for i, row in enumerate(delta) for _ in row],
-                      [j for row in delta for j in row.values()])
+    keep = _trim(delta)
     if len(keep) < len(names):
         names, delta = [names[i] for i in keep], _restrict(delta, keep)
     return EdgeShiftData(tuple(names), delta)
@@ -332,7 +325,7 @@ def contains_word(x: ForbiddenSetSFT, word: Word | str) -> bool:
 
 def is_irreducible(x: ForbiddenSetSFT) -> bool:
     """Whether any two language words can be joined inside the language."""
-    return _strongly_connected(_edge_shift(x).rows)
+    return _strongly_connected(_index_rows(_edge_shift(x).delta))
 
 
 def is_empty(x: ForbiddenSetSFT) -> bool:

@@ -245,14 +245,8 @@ def shift_set(s: SGapSet, k: int) -> SGapSet:
 
 
 def _least_residue_translate(offsets: tuple[int, ...], period: int) -> tuple[int, ...]:
-    base = sorted({t % period for t in offsets})
-    best: tuple[int, ...] | None = None
-    for r in range(period):
-        cand = tuple(sorted((t + r) % period for t in base))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    base = {t % period for t in offsets}
+    return min(tuple(sorted((t + r) % period for t in base)) for r in range(period))
 
 
 def fe_invariant(s: SGapSet) -> FullShift | SoficTag:
@@ -312,6 +306,20 @@ def _as_exact(s: SGapSet) -> EventuallyPeriodicGaps | None:
 def _fe_equal_exact(
     a: EventuallyPeriodicGaps, b: EventuallyPeriodicGaps, bound: int
 ) -> FEVerdict:
+    """The exact verdict, with a translation witness (n, r) of at most
+    `bound` removals found by trying r by increasing |r| up to
+    cap = span + (bound + 2) * N.
+
+    The search reads masks of span + cap + 2N bits, so `bound` is first
+    clamped to span + 3N + 1, which cannot change the verdict.  Equal
+    tags make the offsets of a and b translates mod N, so the first
+    residue-aligned r has |r| < N; its forced removals lie in a window
+    of at most span + 3N bits, so it counts n <= span + 3N < bound + 1
+    removals under either bound, and a best r is found there.  From then
+    on best_n <= span + 3N, so the break rule ends the loop once
+    |r| >= span + (best_n + 1) * N, before the smaller cap: both bounds
+    try the same r and keep the same best one.
+    """
     tag_a = fe_invariant(a)
     tag_b = fe_invariant(b)
     if isinstance(tag_a, FullShift) or isinstance(tag_b, FullShift):
@@ -337,6 +345,7 @@ def _fe_equal_exact(
     period = a.N
     want = {t % period for t in b.T}
     span = max(a.R + a.T + b.R + b.T) + period
+    bound = min(bound, span + 3 * period + 1)
     cap = span + (bound + 2) * period
     # the widest window below is span + cap + 2N
     chi_a, chi_b = _mask(a, span + cap + 2 * period), _mask(b, span + cap + 2 * period)

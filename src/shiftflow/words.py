@@ -160,11 +160,8 @@ def _least_rotation(w: Word) -> Word:
 
 
 def _primitive_root(w: Word) -> Word:
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return w[:d]
-    return w
+    n = len(w)  # > 0, so d = n always matches
+    return next(w[:d] for d in range(1, n + 1) if n % d == 0 and w[:d] * (n // d) == w)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,9 @@ FAR = '{"kind":"eventually_periodic","R":[],"T":[%d],"N":2}'
 # 100,000 scanned every translation up to the span and took 6 to 9 s.
 # A cycle through 121 indices with 1000 at [0][0] has a Perron vector whose
 # entry at index 1 underflows to zero; its ratio raised `ZeroDivisionError`.
+# Evens against odds built masks as wide as the search bound allows,
+# though the witness is r = 1: a bound of 10^8 took 0.7 s and 194 MiB,
+# and both grow linearly with the bound.
 HARD_INPUTS = {
     "language-enum-c13": (["language", "enum", "--n", "2", _forbidding_c(13)], 2, "", TOO_MANY),
     "language-enum-c15": (["language", "enum", "--n", "2", _forbidding_c(15)], 2, "", TOO_MANY),
@@ -101,6 +104,12 @@ HARD_INPUTS = {
     ),
     "sgap-fe-equal-far-100000": (
         ["sgap", "fe-equal", FAR % 100_000, FAR % 100_001],
+        0,
+        '{"outcome":"equivalent","witness":{"n":0,"r":1}}\n',
+        "",
+    ),
+    "sgap-fe-equal-bound-1e9": (
+        ["sgap", "fe-equal", "--bound", str(10**9), FAR % 0, FAR % 1],
         0,
         '{"outcome":"equivalent","witness":{"n":0,"r":1}}\n',
         "",
@@ -243,6 +252,15 @@ def test_entropy_of_matrix_and_graph(capsys):
     assert json.loads(out)["value"] == 0.0
 
 
+def test_entropy_of_a_labeled_graph_is_sofic(capsys):
+    """A labeled graph's entropy is that of the sofic shift it presents;
+    this one is not right-resolving (two a-edges leave p) and presents
+    the golden mean shift."""
+    doc = ('{"vertices":["p","q"],"edges":[{"from":"p","to":"q","label":"a"},'
+           '{"from":"q","to":"p","label":"b"},{"from":"p","to":"p","label":"a"}]}')
+    assert run(capsys, ["entropy", doc]) == (0, '{"value":0.6942419136301513,"method":"perron"}\n', "")
+
+
 def test_entropy_rejects_gap_sets(capsys):
     code, out, err = run(capsys, ["entropy", '{"kind":"finite","elements":[0]}'])
     assert code == 2
@@ -261,6 +279,19 @@ def test_construct_scale(capsys):
     code, out, _ = run(capsys, ["entropy", out.strip()])
     assert code == 0
     assert abs(json.loads(out)["value"] - 0.5) < 1e-9
+
+
+def test_construct_scale_of_an_sft_scales_its_edge_shift(capsys):
+    """An SFT is scaled through its edge-shift graph: vertices the
+    1-blocks, edge ids the positions of the 2-blocks 00, 01, 10."""
+    assert run(capsys, ["construct", "scale", "--n", "2", GM]) == (
+        0,
+        '{"vertices":["0","1","e0.1","e1.1","e2.1"],"edges":['
+        '{"from":"0","to":"e0.1"},{"from":"e0.1","to":"0"},'
+        '{"from":"0","to":"e1.1"},{"from":"e1.1","to":"1"},'
+        '{"from":"1","to":"e2.1"},{"from":"e2.1","to":"0"}]}\n',
+        "",
+    )
 
 
 def test_construct_boost(capsys):

@@ -36,6 +36,7 @@ from shiftflow import (
     word_contract,
 )
 from shiftflow.entropy import _full_pair_subshift_present
+from shiftflow.graphs import _index_rows
 from shiftflow.sft import MAX_CANDIDATES, ForbiddenSetSFT, _admissible_words, _edge_shift
 
 from .oracles import admissible_words_by_words, edge_shift_by_words
@@ -83,7 +84,7 @@ def test_edge_shift_automaton_matches_the_word_based_graph():
         got, (want, graph, words) = _edge_shift(x), edge_shift_by_words(x)
         assert got == want, x
         assert all(type(v) is tuple for v in got.vertices)
-        assert tuple(map(tuple, got.rows)) == graph.sparse_adjacency(), x
+        assert tuple(_index_rows(got.delta)) == graph.sparse_adjacency(), x
         got_graph, edge_words = sft_to_edge_shift(x)
         assert got_graph.vertices == graph.vertices
         assert all(type(v) is Word for v in got_graph.vertices)

@@ -122,6 +122,18 @@ def test_scale_entropy_on_golden_mean():
         assert abs(perron_entropy(g).value - base / n) < 1e-9
 
 
+def test_scale_names_dodge_the_vertices_already_taken():
+    """A path vertex whose name `e<id>.<i>` is taken gets `+` prepended
+    until it is free."""
+    g = DirectedGraph.build(["e0.1", "+e0.1"], [("e0.1", "+e0.1"), ("+e0.1", "e0.1")])
+    got = scale_entropy_construction(g, 3)
+    assert got.vertices == ("e0.1", "+e0.1", "++e0.1", "e0.2", "e1.1", "e1.2")
+    assert [(e.src, e.dst) for e in got.edges] == [
+        ("e0.1", "++e0.1"), ("++e0.1", "e0.2"), ("e0.2", "+e0.1"),
+        ("+e0.1", "e1.1"), ("e1.1", "e1.2"), ("e1.2", "e0.1"),
+    ]
+
+
 def test_scale_by_one_is_identity():
     g = _graph_of(GOLDEN_MEAN)
     assert scale_entropy_construction(g, 1) is g

@@ -27,7 +27,7 @@ from shiftflow import (
     sft_to_edge_shift,
 )
 from shiftflow.cli import main
-from shiftflow.graphs import _adjacency_rows, _gather, _walks
+from shiftflow.graphs import _adjacency_rows, _gather, _index_rows, _walks
 from shiftflow.sft import MAX_CANDIDATES, EdgeShiftData, ForbiddenSetSFT, _edge_shift, _short_words
 
 from .oracles import contains_word_by_windows, edge_shift_by_words, short_words_by_windows, walks_by_generators
@@ -138,15 +138,15 @@ def test_walks_match_the_generator_oracle_on_matrices():
 
 def test_edge_shift_data_equality_reads_vertices_and_delta():
     """The automaton's only fields are its vertices and `delta`.  Equality
-    reads both, not the `index`, `rows` and `gather` derived from them on
-    first use; the hash reads the vertices."""
+    reads both, not the `index` and `gather` derived from them on first
+    use; the hash reads the vertices."""
     assert [f.name for f in dataclasses.fields(EdgeShiftData)] == ["vertices", "delta"]
     x = sft(["a", "b", "c"], ["cc", "aba"])
     _edge_shift.cache_clear()
     data, (want, graph, _) = _edge_shift(x), edge_shift_by_words(x)
     assert data == want and hash(data) == hash(want)
-    index, rows = data.index, data.rows
-    assert "rows" in vars(data) and "rows" not in vars(want)
+    index, rows = data.index, _index_rows(data.delta)
+    assert "index" in vars(data) and "index" not in vars(want)
     assert data == want and hash(data) == hash(want)
     assert "gather" not in vars(data)
     assert language_count(x, x.step + 8) == sum(next(islice(walks_by_generators(rows), 8, None)))

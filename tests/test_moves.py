@@ -302,6 +302,20 @@ def test_pipeline_periodic_contraction():
     assert orbit.period == 1
 
 
+def test_word_contract_of_one_symbol_renames_it():
+    """A one-symbol word is renamed to the fresh symbol in the alphabet
+    and the forbidden words; words and orbits follow the renaming, and an
+    orbit passed as a `PeriodicOrbit` is read as its cycle."""
+    y, mv = word_contract(GOLDEN_MEAN, "1")
+    assert mv == moves.WordContraction(Word("1"), "◇")
+    assert dumps(sft_json(y)) == '{"alphabet":["0","◇"],"forbidden":["◇◇"]}'
+    pipe = MovePipeline.start(GOLDEN_MEAN).word_contract("1")
+    assert pipe.result == y
+    assert pipeline_apply_word(pipe, "01001") == Word(["0", "◇", "0", "0", "◇"])
+    orbit = pipeline_apply_periodic(pipe, PeriodicOrbit(Word("001")))
+    assert orbit == PeriodicOrbit(Word(["0", "0", "◇"]))
+
+
 def test_pipeline_periodic_rejects_inadmissible_cycles():
     pipe = MovePipeline.start(GOLDEN_MEAN).expand("1")
     with pytest.raises(PreconditionError):
