@@ -12,7 +12,7 @@ from .errors import InvalidInput, NonConvergenceError, PreconditionError
 from .graphs import DirectedGraph, _adjacency_rows, _components, _gather, _getter, _index_rows, _walks, from_adjacency
 from .moves import MovePipeline
 from .presentations import LabeledGraph, _sofic_word_counts, _subset_automaton
-from .sft import MAX_CANDIDATES, ForbiddenSetSFT, _edge_graph, _edge_shift, _short_words, language_count
+from .sft import MAX_CANDIDATES, ForbiddenSetSFT, _edge_graph, _edge_shift, enumerate_language, language_count
 from .words import Word
 
 
@@ -214,16 +214,22 @@ def scale_entropy_construction(obj, n: int) -> DirectedGraph:
 
 
 def _full_pair_subshift_present(x: ForbiddenSetSFT, a: str, b: str, length: int) -> bool:
-    """Whether every {a, b}-word of the given length is in the language."""
-    data = _edge_shift(x)
-    m = x.step
-    pair = {a, b}
-    if length <= m:
-        pair_words = [w for w in _short_words(data, length) if all(s in pair for s in w)]
-        return len(pair_words) == 2**length
-    rows = [[(t, 1) for s, t in row.items() if s in pair and pair.issuperset(v)]
-            for v, row in zip(data.vertices, data.delta)]
-    return sum(next(islice(_walks(_gather(rows)), length - m, None))) == 2**length
+    """Whether every {a, b}-word of the given length is in the language.
+
+    Read from the forbidden set (Lind and Marcus, section 2.1):
+    1. No forbidden word is an {a, b}-word: every bi-infinite {a, b}-string
+       avoids them all, so it is a point of x and every {a, b}-word of
+       every length occurs.
+    2. A forbidden {a, b}-word f has len(f) <= length: the {a, b}-word
+       f a^(length - len(f)) has the forbidden factor f, so it does not.
+    3. Otherwise every forbidden {a, b}-word is longer than the length
+       (and at most the step m + 1 long): the {a, b}-words among the
+       language's words of that length are counted.
+    """
+    shortest = min((len(f) for f in x.forbidden if {a, b}.issuperset(f)), default=None)
+    if shortest is None or shortest <= length:
+        return shortest is None
+    return sum({a, b}.issuperset(w) for w in enumerate_language(x, length)) == 2**length
 
 
 def boost_entropy_pipeline(x: ForbiddenSetSFT, a: str, b: str, target: int) -> MovePipeline:

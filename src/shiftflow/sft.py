@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InvalidInput, PartialBlockMapError, PreconditionError
 from .graphs import DirectedGraph, Edge, _Gather, _gather, _index_rows, _restrict, _strongly_connected, _trim, _walks
@@ -78,35 +78,27 @@ def _check_candidates(k: int, count: int) -> None:
 def _admissible_words(alphabet: Alphabet, forbidden: frozenset[Word], n: int) -> list[tuple[str, ...]]:
     """All length-n words with no forbidden factor, as tuples in order.
 
-    Grown one length at a time: u + (s,) is kept when no forbidden word is
-    a suffix of it, so dead prefixes are dropped as soon as they appear.
-    A suffix table maps each forbidden word's prefix to the last symbols
-    it bans; u is extended by the alphabet, in order, minus the symbols
-    banned by the prefixes its suffixes hit, which keeps the order.  Past
+    Grown one length at a time by the rule `_edge_shift` reads: u + (s,)
+    is kept when (u + (s,))[1:] was kept one length shorter and u + (s,)
+    is not itself forbidden; its other factors lie in u or in
+    (u + (s,))[1:].  Up to the length of the shortest forbidden word
+    every shorter word is kept, so (u + (s,))[1:] is looked up only past
+    it, and the forbidden set only at the lengths of its words.  u is
+    extended by the alphabet in order, which keeps the order.  Past
     `MAX_CANDIDATES` candidates for a length it raises `PreconditionError`.
     """
-    bans: dict[tuple[str, ...], set[str]] = {}
-    for f in forbidden:
-        t = tuple(f)
-        bans.setdefault(t[:-1], set()).add(t[-1])
-    lengths = sorted({len(p) for p in bans})
     symbols = alphabet.symbols
-
-    def successors(u: tuple[str, ...]) -> Sequence[str]:
-        k = len(u)
-        gone = None
-        for ln in lengths:
-            if ln > k:
-                break
-            b = bans.get(u[k - ln :])
-            if b is not None:
-                gone = b if gone is None else gone | b
-        return symbols if gone is None else [s for s in symbols if s not in gone]
-
+    lengths = {len(f) for f in forbidden}
     words: list[tuple[str, ...]] = [()]
     for k in range(1, n + 1):
         _check_candidates(k, len(words) * len(symbols))
-        words = [u + (s,) for u in words for s in successors(u)]
+        if k <= min(lengths, default=k):
+            words = [u + (s,) for u in words for s in symbols]
+        else:
+            kept = set(words)
+            words = [w for u in words for s in symbols if (w := u + (s,))[1:] in kept]
+        if k in lengths:
+            words = [w for w in words if w not in forbidden]
     return words
 
 

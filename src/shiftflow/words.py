@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
+from .errors import InvalidInput
+
 
 class Word(tuple):
     """An immutable finite word.
@@ -119,10 +121,10 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be distinct")
+            raise InvalidInput("alphabet symbols must be distinct")
         for s in self.symbols:
             if not isinstance(s, str) or not s:
-                raise ValueError(f"bad alphabet symbol: {s!r}")
+                raise InvalidInput(f"bad alphabet symbol: {s!r}")
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.symbols
@@ -151,7 +153,7 @@ class Alphabet:
 
     def without(self, symbol: str) -> "Alphabet":
         if symbol not in self.symbols:
-            raise ValueError(f"{symbol!r} not in alphabet")
+            raise InvalidInput(f"{symbol!r} not in alphabet")
         return Alphabet(tuple([s for s in self.symbols if s != symbol]))  # from a list: see `invariants.as_matrix`
 
 
@@ -182,7 +184,7 @@ class PeriodicOrbit:
 
     def __post_init__(self) -> None:
         if len(self.cycle) == 0:
-            raise ValueError("a periodic orbit needs a non-empty cycle")
+            raise InvalidInput("a periodic orbit needs a non-empty cycle")
         canon = _least_rotation(_primitive_root(Word(self.cycle)))
         object.__setattr__(self, "cycle", canon)
 

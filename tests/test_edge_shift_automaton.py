@@ -2,9 +2,9 @@
 Word-based construction kept in `oracles`: sorted essential vertices,
 moves and rows, and the graphs of `sft_to_edge_shift` and
 `sft_presentation` with their edge ends, ids, words and labels.  Also
-the suffix-table growth of admissible words, and clock-free counts of
-the `DirectedGraph`s that library calls build and of the word lengths
-they grow."""
+the growth of admissible words, and clock-free counts of the
+`DirectedGraph`s that library calls build and of the word lengths they
+grow."""
 
 from __future__ import annotations
 
@@ -113,7 +113,9 @@ def test_only_graph_outputs_build_a_directed_graph(monkeypatch):
     """Counted without a clock, each call from a cold edge-shift cache:
     moves, language reads and the boost precondition read the automaton
     and build no `DirectedGraph`, and they and the automaton ask
-    `_admissible_words` for words of the step m only.  `sft_to_edge_shift`
+    `_admissible_words` for words of the step m only; on a free pair with
+    no forbidden {a, b}-word the precondition grows no words at all.
+    `sft_to_edge_shift`
     and `sft_presentation` build exactly one graph and grow the
     (m+1)-words once on each call, the automaton cached or not."""
     calls = [0]
@@ -132,6 +134,9 @@ def test_only_graph_outputs_build_a_directed_graph(monkeypatch):
     monkeypatch.setattr(sft_module, "_admissible_words", spy)
     x = sft(["a", "b", "c"], ["ba", "bb", "ac", "cc", "aaa"])
     free = sft(["a", "b", "c"], ["ccc"])
+    # "aaaaaaa" is a forbidden {a, b}-word longer than 6, so the
+    # precondition at length 6 reads the language.
+    near = sft(["a", "b", "c"], ["ccc", "aaaaaaa"])
     table = {u: "|".join(u) for u in enumerate_language(x, 3)}
     assert x.step == 2
 
@@ -154,7 +159,7 @@ def test_only_graph_outputs_build_a_directed_graph(monkeypatch):
         (is_irreducible, x),
         (is_empty, x),
         (perron_entropy, x),
-        (_full_pair_subshift_present, free, "a", "b", 6),
+        (_full_pair_subshift_present, near, "a", "b", 6),
         (boost_entropy_pipeline, free, "a", "b", 1),
     ]
     grown = 0
@@ -163,6 +168,7 @@ def test_only_graph_outputs_build_a_directed_graph(monkeypatch):
         assert all(m == n for m, n in asked), (fn.__name__, asked)
         grown += len(asked)
     assert grown >= len(reads)
+    assert built(_full_pair_subshift_present, free, "a", "b", 6) == 0 and asked == []
     for fn in (sft_to_edge_shift, sft_presentation):
         assert built(fn, x) == 1 and asked == [(2, 2), (2, 3)], fn.__name__
         calls[0] = 0

@@ -310,9 +310,10 @@ def test_matrix_entropy_builds_no_graph(monkeypatch):
 
 def test_boost_precondition_on_words_shorter_than_the_step():
     """Target 1 needs every {a, b}-word of length 6; with c^8 forbidden
-    the step is 7, so the precondition reads the vertex words.  `cc` is
-    forbidden too: it leaves the step and the {a, b}-words as they are
-    and keeps the two contractions on the step-7 edge shift near 1 s."""
+    the step is 7, and no forbidden word is an {a, b}-word, so the
+    precondition holds from the forbidden set alone.  `cc` is forbidden
+    too: it leaves the step and the {a, b}-words as they are and keeps
+    the two contractions on the step-7 edge shift near 1 s."""
     x = sft(["a", "b", "c"], ["cc", "c" * 8])
     assert x.step == 7
     assert all(contains_word(x, Word(p)) for p in product("ab", repeat=6))
@@ -331,10 +332,11 @@ def test_boost_construction_is_the_pipeline_result():
 
 
 def test_boost_precondition_reads_the_automaton():
-    """The free-pair precondition counts {a, b}-paths on the rows of the
-    edge shift's automaton, and answers as the path count on a subgraph
-    of the edge shift did: 250 seeded SFTs over 2-4 symbols, every
-    ordered pair of symbols, lengths 1-10, below and above the step."""
+    """The free-pair precondition reads the forbidden set, and the
+    language only when every forbidden {a, b}-word is longer than the
+    length, and answers as the path count on a subgraph of the edge shift
+    did: 250 seeded SFTs over 2-4 symbols, every ordered pair of symbols,
+    lengths 1-10, below and above the step."""
     rng = random.Random(20261019)
     symbol_sets = (("a", "b"), ("a", "◇2", "b"), ("a", "b", "c"), ("a", "b", "c", "d"))
     verdicts = []

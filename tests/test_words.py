@@ -104,7 +104,7 @@ def test_enumerate_language_returns_strictly_sorted_words():
 
 
 def test_alphabet_requires_distinct_symbols():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         Alphabet(("0", "0"))
 
 
@@ -137,7 +137,7 @@ def test_periodic_orbit_reduces_to_primitive_root():
 
 
 def test_periodic_orbit_rejects_empty_cycle():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         PeriodicOrbit(Word(""))
 
 

@@ -50,6 +50,14 @@ CLIFFS = {
         "x = sft('abc', ['c' * 12])\n",
         "language_count(x, 21)",
     ),
+    # Forbidden words of mixed lengths, c^12 and aa: the step-11 edge
+    # shift has 68,192 vertices, grown by the one admissibility rule,
+    # which reads the words one length shorter past the length 2 of aa.
+    "language_count_mixed_c12": (
+        "from shiftflow import language_count, sft\n"
+        "x = sft('abc', ['c' * 12, 'aa'])\n",
+        "language_count(x, 15)",
+    ),
     # Twenty counts on the warm step-8 automaton of 3^8 = 6,561 vertices:
     # the path-count kernel alone, with no set-up left to pay.
     "count_c9_warm": (
@@ -77,14 +85,16 @@ CLIFFS = {
         "sft_presentation(x)",
     ),
     # The target-1 boost past an 8-symbol forbidden word: the precondition
-    # reads the step-7 automaton (3^8 - 1 words), then two word contractions.
+    # reads only the forbidden set, which holds no {a, b}-word, then two
+    # word contractions build the step-7 automaton (3^8 - 1 words).
     "boost_c8_target1": (
         "from shiftflow import boost_entropy_pipeline, sft\n"
         "x = sft('abc', ['c' * 8])\n",
         "boost_entropy_pipeline(x, 'a', 'b', 1)",
     ),
-    # A 20,000-vertex dead chain feeding a 2-cycle: one round per chain
-    # vertex for a trim that recounts every edge in each round.
+    # A 20,000-vertex dead chain feeding a 2-cycle: the queue trim of
+    # `graphs._essential` drops the chain one vertex at a time, each drop
+    # reading only that vertex's edges.
     "dead_chain_trim": (
         "from shiftflow import DirectedGraph\n"
         "names = [f'd{i}' for i in range(20_000)] + ['c0', 'c1']\n"
